@@ -24,7 +24,7 @@ let () =
   let sc_outcomes = Sc.outcomes prog in
   Fmt.pr "SC outcomes (%d):@.%a@.@." (Final.Set.cardinal sc_outcomes)
     Final.pp_set sc_outcomes;
-  (match Sc.allows_exists prog with
+  (match Machines.allows_exists Machines.sc prog with
   | Some true -> Fmt.pr "SC allows the 'exists' outcome.@."
   | Some false -> Fmt.pr "SC forbids the 'exists' outcome.@."
   | None -> Fmt.pr "No 'exists' clause.@.");

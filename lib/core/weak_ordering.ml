@@ -60,10 +60,7 @@ let of_model m = { hw_name = Models.name m; outcomes = Models.outcomes m }
    CLI's --no-por escape hatch; the sets are identical (checked
    differentially), only the enumeration strategy differs. *)
 let appears_sc ?(por = true) hw prog =
-  let sc =
-    if por then Sc.outcomes_cached prog else Sc.outcomes ~reduce:false prog
-  in
-  Final.Set.subset (hw.outcomes prog) sc
+  Final.Set.subset (hw.outcomes prog) (Sc.outcomes ~reduce:por prog)
 
 type coverage = Exhaustive | Bounded of { reason : string; degraded : bool }
 
@@ -306,34 +303,28 @@ let verify_machine ?(domains = 1) ?fuel ?(por = true) ?(sym = true)
     | None -> (
         let hw_set = Explore.bounded_value r.Explore.result in
         let degraded = r.Explore.stats.Explore.degraded_at <> None in
-        let sc_set, sc_complete =
-          match budget with
-          | None ->
-              if por then (Sc.outcomes_cached program, true)
-              else (Sc.outcomes ~reduce:false program, true)
-          | Some b ->
-              (* Deadline only: the SC reference sets are small (they are
-                 not what the memory budget protects), and a memory-caused
-                 inconclusive suspend here could never progress on
-                 resume. *)
-              let s, _, complete =
-                Sc.explore_within ~reduce:por ~budget:(Budget.deadline_only b)
-                  program
-              in
-              (s, complete)
+        (* Deadline only: the SC reference sets are small (they are not
+           what the memory budget protects), and a memory-caused
+           inconclusive suspend here could never progress on resume. *)
+        let sc =
+          Machines.explore ~reduce:por
+            ~rcfg:
+              {
+                Explore.rcfg_default with
+                Explore.budget = Option.map Budget.deadline_only budget;
+                sym;
+              }
+            Machines.sc program
         in
+        let sc_set = Explore.bounded_value sc.Explore.result in
+        let sc_complete = sc.Explore.stop = None in
         let subset = Final.Set.subset hw_set sc_set in
         if (not sc_complete) && not subset then begin
           (* Inconclusive: against a partial SC reference only a positive
              subset test is sound — a missing outcome may be a real
              violation or just missing SC coverage.  Suspend; the resumed
              run (with budget left) redoes this program. *)
-          let reason =
-            match budget with
-            | Some b when Budget.over_deadline b -> Explore.Deadline_exceeded
-            | _ -> Explore.Memory_exhausted
-          in
-          suspended := Some reason;
+          suspended := sc.Explore.stop;
           save !pos None
         end
         else begin

@@ -1,7 +1,7 @@
 (** Static per-program conflict facts shared by the partial-order
-    reductions: the SC checker's candidate test ({!Sc}) and the machine
-    independence oracles (in [lib/machine]) all key off the same questions
-    — answered once per program here rather than once per state.
+    reductions: the machine independence oracles (in [lib/machine], SC's
+    included) all key off the same questions — answered once per program
+    here rather than once per state.
 
     All indices are clamped, so callers may pass a thread's
     next-instruction index even when the thread has run off the end of its

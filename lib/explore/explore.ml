@@ -97,30 +97,6 @@ type stats = {
   spilled_keys : int;
 }
 
-(* Telemetry for engines that do not run a sharded sweep (the SC
-   interleaving enumerator): one "shard" holding every claimed state. *)
-let basic_stats ?(por_enabled = false) ?(oracle_calls = 0) ?(ample_hits = 0)
-    ?(suppressed = 0) ?(sym_group = 1) ?(sym_hits = 0) ~states_expanded
-    ~domains_used () =
-  {
-    states_expanded;
-    domains_used;
-    claimed = states_expanded;
-    claimed_per_shard = [| states_expanded |];
-    donations = 0;
-    table_buckets = 0;
-    max_probe = 0;
-    degraded_at = None;
-    por_enabled;
-    oracle_calls;
-    ample_hits;
-    suppressed;
-    sym_group;
-    sym_hits;
-    spilled_runs = 0;
-    spilled_keys = 0;
-  }
-
 let pp_stats ppf s =
   Format.fprintf ppf
     "%d state(s) expanded, %d claimed over %d shard(s), %d donation(s)"
@@ -340,8 +316,10 @@ module Make (M : Machine_sig.MACHINE) = struct
        the first expansion, consulted on revisits.  Keys are stored once;
        no marshalled strings.  With a spill store the table is bypassed
        entirely: membership lives in the store (hot tier + disk runs),
-       which is valid because a spilling run never uses sleep sets. *)
-    let visited : Machine_sig.action list ref H.t = H.create 4096 in
+       which is valid because a spilling run never uses sleep sets.  It
+       starts small: on litmus-sized programs its allocation would be the
+       engine's whole fixed cost per run, and it grows anyway. *)
+    let visited : Machine_sig.action list ref H.t = H.create 64 in
     let bloom = ref None in
     let claimed = ref 0 in
     let acc = ref Final.Set.empty in
@@ -1344,15 +1322,4 @@ module Make (M : Machine_sig.MACHINE) = struct
   let allows prog cond = Cond.satisfiable_in (outcomes prog) cond
 
   let allows_exists prog = Option.map (allows prog) (Prog.exists prog)
-
-  (* A machine [appears sequentially consistent] to a program when every
-     outcome it allows is also an SC outcome (Definition 2's "appears").
-     The SC reference set can be passed in (e.g. when sweeping many
-     machines over one program); otherwise the process-wide memoized cache
-     avoids re-enumerating SC per call. *)
-  let appears_sc ?sc prog =
-    let sc =
-      match sc with Some s -> s | None -> Sc.outcomes_cached prog
-    in
-    Final.Set.subset (outcomes prog) sc
 end

@@ -81,21 +81,6 @@ type stats = {
 }
 (** Telemetry from one exploration sweep. *)
 
-val basic_stats :
-  ?por_enabled:bool ->
-  ?oracle_calls:int ->
-  ?ample_hits:int ->
-  ?suppressed:int ->
-  ?sym_group:int ->
-  ?sym_hits:int ->
-  states_expanded:int ->
-  domains_used:int ->
-  unit ->
-  stats
-(** Degenerate telemetry for engines without a sharded sweep (one shard
-    holding every claimed state, no table data) — e.g. the SC
-    interleaving enumerator. *)
-
 val pp_stats : Format.formatter -> stats -> unit
 (** One line: states, claims, shards, donations, table occupancy,
     reduction counters. *)
@@ -262,9 +247,4 @@ module Make (M : Machine_sig.MACHINE) : sig
 
   val allows_exists : Prog.t -> bool option
   (** {!allows} against the program's [exists] clause, when it has one. *)
-
-  val appears_sc : ?sc:Final.Set.t -> Prog.t -> bool
-  (** Every machine outcome is an SC outcome (Definition 2's "appears
-      sequentially consistent" for one program).  [?sc] supplies the SC
-      reference set; by default it comes from {!Sc.outcomes_cached}. *)
 end

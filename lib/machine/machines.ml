@@ -1,5 +1,6 @@
 (* Registry of abstract hardware machines with a uniform interface. *)
 
+module Sc_x = Explore.Make (M_sc)
 module Wbuf_x = Explore.Make (M_wbuf)
 module Ooo_x = Explore.Make (M_ooo)
 module Def1_x = Explore.Make (M_def1)
@@ -55,53 +56,8 @@ let sc =
   {
     name = "sc";
     descr = "sequentially consistent reference machine (atomic, in order)";
-    explore =
-      (* interleaving enumeration, not a Machine_sig sweep: always complete,
-         always sequential (its state graph is explored with the POR pass
-         instead of extra domains).  The same cheap guard as the machine
-         engine applies: programs too small to amortize the oracle are
-         swept unreduced. *)
-      (fun ~domains:_ ~adaptive:_ ~reduce ~por_min ~fuel:_ ~rcfg prog ->
-        let por_min =
-          Option.value por_min ~default:Explore.por_min_instrs_default
-        in
-        let reduce = reduce && Prog.num_instrs prog >= por_min in
-        let sym = rcfg.Explore.sym in
-        let sym_group = if sym then (Sym.cached prog).Sym.order else 1 in
-        match rcfg.Explore.budget with
-        | None ->
-            let set, states, por = Sc.explore_counted ~reduce ~sym prog in
-            {
-              Explore.result = Explore.Complete set;
-              stats =
-                Explore.basic_stats ~por_enabled:reduce
-                  ~oracle_calls:(por.Sc.por_taken + por.Sc.por_declined)
-                  ~ample_hits:por.Sc.por_taken ~sym_group
-                  ~states_expanded:states ~domains_used:1 ();
-              stop = None;
-            }
-        | Some budget ->
-            let set, states, complete =
-              Sc.explore_within ~reduce ~sym ~budget prog
-            in
-            {
-              Explore.result =
-                (if complete then Explore.Complete set
-                 else Explore.Partial set);
-              stats =
-                Explore.basic_stats ~por_enabled:reduce ~sym_group
-                  ~states_expanded:states ~domains_used:1 ();
-              stop =
-                (if complete then None
-                 else if Budget.over_deadline budget then
-                   Some Explore.Deadline_exceeded
-                 else Some Explore.Memory_exhausted);
-            });
-    snapshot_frontier_length =
-      (fun _ ->
-        raise
-          (Explore.Resume_rejected
-             "the sc reference machine does not take snapshots"));
+    explore = of_engine Sc_x.run;
+    snapshot_frontier_length = Sc_x.snapshot_frontier_length;
   }
 
 let wbuf =
@@ -181,11 +137,8 @@ let allows m prog cond = Cond.satisfiable_in (outcomes m prog) cond
 
 let allows_exists m prog = Option.map (allows m prog) (Prog.exists prog)
 
-(* Definition 2's "appears SC" — against the process-wide memoized SC set,
-   so sweeps comparing every machine against one program enumerate SC
-   once, not once per machine. *)
+(* Definition 2's "appears SC".  Sweeps comparing every machine against
+   one program pass the SC set in, so SC is enumerated once. *)
 let appears_sc ?sc:sc_set m prog =
-  let sc_set =
-    match sc_set with Some s -> s | None -> Sc.outcomes_cached prog
-  in
+  let sc_set = match sc_set with Some s -> s | None -> outcomes sc prog in
   Final.Set.subset (outcomes m prog) sc_set

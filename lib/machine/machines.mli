@@ -33,25 +33,20 @@ val explore :
     every [domains].  Programs below [por_min_instrs] instructions
     (default {!Explore.por_min_instrs_default}) skip the oracle machinery
     even with [~reduce:true]; [~por_min_instrs:0] forces it on — the
-    differential-test hook.
-    (The [sc] reference machine enumerates interleavings with its own
-    partial-order reduction instead, honouring [~reduce] and the same
-    size guard; it honours [rcfg.budget] but never snapshots — its
-    frontier is an interleaving prefix, not a state set.) *)
+    differential-test hook. *)
 
 val snapshot_frontier_length : t -> string -> int
 (** Frontier length recorded in a machine's framed snapshot bytes.
-    @raise Explore.Resume_rejected on invalid bytes or the [sc]
-      machine. *)
+    @raise Explore.Resume_rejected on invalid bytes. *)
 
 val outcomes_bounded : t -> fuel:int -> Prog.t -> Final.Set.t Explore.bounded
 (** Fuel-bounded exploration: expand at most [fuel] distinct states.
     Always terminates; [Partial] carries a sound subset of the complete
-    outcome set.  (The [sc] reference machine enumerates interleavings
-    directly and always reports [Complete].) *)
+    outcome set. *)
 
 val sc : t
-(** Atomic, in-program-order reference machine. *)
+(** Atomic, in-program-order reference machine ({!M_sc}); its reduction
+    oracle fires a provably independent data access alone. *)
 
 val wbuf : t
 (** Per-processor FIFO write buffers with read bypass and forwarding
@@ -94,6 +89,5 @@ val allows_exists : t -> Prog.t -> bool option
 val appears_sc : ?sc:Final.Set.t -> t -> Prog.t -> bool
 (** Definition 2's "appears sequentially consistent", for one program:
     the machine's outcomes are a subset of the SC outcomes.  [?sc]
-    supplies the SC reference set; by default it comes from the
-    process-wide {!Sc.outcomes_cached}, so sweeps over many machines per
-    program enumerate SC once. *)
+    supplies the SC reference set, so sweeps over many machines per
+    program enumerate SC once; by default it is {!sc}'s outcome set. *)

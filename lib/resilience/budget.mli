@@ -2,8 +2,8 @@
 
     A budget is created when a run starts ([deadline_s] is relative to
     creation time) and consulted at safe points: the exploration engine
-    checks it between state expansions, the SC enumerator between visited
-    states, and the fault campaign between simulator runs.  Exhaustion is
+    checks it between state expansions and the fault campaign between
+    simulator runs.  Exhaustion is
     always cooperative — the caller drains to a clean [Partial] result
     (with a resumable checkpoint where one is configured) rather than
     being killed mid-sweep. *)
@@ -39,7 +39,7 @@ val check : t -> bytes:int -> reason option
 val deadline_only : t -> t
 (** The same absolute deadline with the memory component dropped — for
     sub-sweeps whose structures are not the memory hog (e.g. the SC
-    reference enumeration inside a budgeted verify). *)
+    reference sweep inside a budgeted verify). *)
 
 val deadline_s : t -> float option
 (** Seconds until the deadline (negative once passed); [None] if

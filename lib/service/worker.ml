@@ -36,7 +36,7 @@ let run ?cancel ?fuel ?spill_dir ?mem_budget ~model ~machine prog =
   | Some Explore.Cancelled -> Error `Cancelled
   | stop ->
       let outs = Explore.bounded_value r.Explore.result in
-      let sc = Sc.outcomes_cached prog in
+      let sc = Sc.outcomes prog in
       let appears_sc = Final.Set.subset outs sc in
       let obeys_model = obeys model prog in
       let complete =

@@ -216,7 +216,3 @@ let matches prog a b =
        (registers_of prog)
 
 let in_set prog f set = Final.Set.exists (matches prog f) set
-
-(* Fault campaigns check every perturbed run against the same program's SC
-   set; the process-wide cache enumerates it once per program. *)
-let allowed_by_sc prog f = in_set prog f (Sc.outcomes_cached prog)

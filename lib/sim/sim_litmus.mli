@@ -57,8 +57,3 @@ val matches : Prog.t -> Final.t -> Final.t -> bool
 val in_set : Prog.t -> Final.t -> Final.Set.t -> bool
 (** [in_set prog f outcomes]: some outcome in the set semantically matches
     [f] — e.g. the simulator's outcome is among the SC outcomes. *)
-
-val allowed_by_sc : Prog.t -> Final.t -> bool
-(** [in_set] against the program's SC outcome set, enumerated once per
-    program via {!Sc.outcomes_cached} — the membership check fault
-    campaigns run per perturbed schedule. *)

@@ -63,16 +63,17 @@ let test_syncs_of_loc () =
 (* --- SC outcomes --------------------------------------------------------- *)
 
 let outcomes e = Sc.outcomes (prog_of e)
+let sc_allows e = Option.get (Machines.allows_exists Machines.sc (prog_of e))
 
 let test_sc_forbids_dekker () =
   check "dekker non-SC outcome forbidden" false
-    (Option.get (Sc.allows_exists (prog_of Litmus_classics.dekker)));
+    (sc_allows Litmus_classics.dekker);
   (* And the three SC outcomes are all present: 10, 01, 11 of (r0,r1). *)
   check_int "three outcomes" 3 (Final.Set.cardinal (outcomes Litmus_classics.dekker))
 
 let test_sc_mp () =
   check "mp stale read forbidden under SC" false
-    (Option.get (Sc.allows_exists (prog_of Litmus_classics.mp)))
+    (sc_allows Litmus_classics.mp)
 
 let test_sc_await_blocks () =
   (* With the await, the consumer must see the flag and then the data. *)
@@ -88,11 +89,11 @@ let test_sc_lock_mutex () =
 
 let test_sc_lock_race_loses_update () =
   check "unlocked increment can be lost under SC" true
-    (Option.get (Sc.allows_exists (prog_of Litmus_classics.lock_race)))
+    (sc_allows Litmus_classics.lock_race)
 
 let test_sc_rmw_atomic () =
   check "both TAS cannot win" false
-    (Option.get (Sc.allows_exists (prog_of Litmus_classics.tas_atomicity)))
+    (sc_allows Litmus_classics.tas_atomicity)
 
 let test_sc_handoff () =
   let s = outcomes Litmus_classics.fig3_handoff in
@@ -104,7 +105,7 @@ let test_sc_iriw_outcome_count () =
   (* IRIW under SC: exhaustive enumeration must agree with first principles —
      the forbidden outcome is excluded. *)
   check "iriw forbidden" false
-    (Option.get (Sc.allows_exists (prog_of Litmus_classics.iriw)))
+    (sc_allows Litmus_classics.iriw)
 
 let test_trace_count_two_by_two () =
   (* Two threads of two instructions each: C(4,2) = 6 interleavings. *)
@@ -148,7 +149,7 @@ let prop_sc_expectations =
   QCheck.Test.make ~name:"corpus SC expectations hold" ~count:(List.length Litmus_classics.all)
     arbitrary_classic
     (fun e ->
-      match Sc.allows_exists e.Litmus_classics.prog with
+      match Machines.allows_exists Machines.sc e.Litmus_classics.prog with
       | Some allowed -> allowed = e.Litmus_classics.sc_allows
       | None -> true)
 

@@ -8,11 +8,6 @@ let check = Alcotest.(check bool)
 
 let corpus = List.map (fun e -> e.Litmus_classics.prog) Litmus_classics.all
 
-(* The machines whose state graphs the engine walks; [sc] enumerates
-   interleavings instead and ignores the knob. *)
-let engine_machines =
-  List.filter (fun m -> not (String.equal (Machines.name m) "sc")) Machines.all
-
 let domain_counts =
   let base = [ 2; 4 ] in
   match Sys.getenv_opt "WEAKORD_TEST_JOBS" with
@@ -64,7 +59,7 @@ let test_parallel_matches_sequential () =
                 seq.Explore.stats.Explore.states_expanded
                 par.Explore.stats.Explore.states_expanded)
             domain_counts)
-        engine_machines)
+        Machines.all)
     corpus
 
 (* --- fuel stays sound under parallelism ------------------------------------ *)
@@ -194,7 +189,7 @@ let test_machine_por_differential () =
                 true
                 (r.Explore.stats.Explore.states_expanded <= base_states))
             [ ("seq", 1, true); ("par2", 2, false); ("par4", 4, false) ])
-        engine_machines)
+        Machines.all)
     (corpus @ gen_progs)
 
 (* The tentpole's quantitative claim, pinned: on the bench harness's

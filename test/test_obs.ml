@@ -357,12 +357,17 @@ let test_explore_metrics_consistent () =
 let test_por_counters () =
   (* mp_sync has data accesses private enough for the reduction to fire. *)
   let prog = (Option.get (Litmus_classics.find "mp_sync")).Litmus_classics.prog in
-  let set_r, _, st_r = Sc.explore_counted ~reduce:true prog in
-  let set_f, _, st_f = Sc.explore_counted ~reduce:false prog in
-  check "reduction fired" true (st_r.Sc.por_taken > 0);
-  check "declined counted" true (st_r.Sc.por_declined > 0);
-  check_int "no reduction, none taken" 0 st_f.Sc.por_taken;
-  check_int "no reduction, none declined" 0 st_f.Sc.por_declined;
+  let explore reduce =
+    let r = Machines.explore ~reduce ~por_min_instrs:0 Machines.sc prog in
+    (Explore.bounded_value r.Explore.result, r.Explore.stats)
+  in
+  let set_r, st_r = explore true in
+  let set_f, st_f = explore false in
+  let declined s = s.Explore.oracle_calls - s.Explore.ample_hits in
+  check "reduction fired" true (st_r.Explore.ample_hits > 0);
+  check "declined counted" true (declined st_r > 0);
+  check_int "no reduction, none taken" 0 st_f.Explore.ample_hits;
+  check_int "no reduction, none declined" 0 (declined st_f);
   check "same outcomes either way" true (Final.Set.equal set_r set_f)
 
 (* --- gauges -------------------------------------------------------------------- *)

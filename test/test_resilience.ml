@@ -242,7 +242,13 @@ let test_explore_resume_equals_uninterrupted () =
         (Printf.sprintf "%s/%s resumed total states == uninterrupted" mname
            tname)
         full_states resumed.Explore.stats.Explore.states_expanded)
-    [ ("wbuf", "dekker"); ("def2", "iriw"); ("ooo", "mp"); ("rc", "lb") ]
+    [
+      ("wbuf", "dekker");
+      ("def2", "iriw");
+      ("ooo", "mp");
+      ("rc", "lb");
+      ("sc", "iriw");
+    ]
 
 let test_explore_deadline_stop () =
   let m = Machines.def2 and prog = prog_of "dekker" in
@@ -593,19 +599,26 @@ let test_obs_events () =
 let test_sc_within_budget () =
   let prog = prog_of "iriw" in
   let full = Sc.outcomes prog in
-  let set, _, complete =
-    Sc.explore_within ~budget:Budget.unlimited prog
+  let within budget =
+    let r =
+      Machines.explore
+        ~rcfg:{ Explore.rcfg_default with Explore.budget = Some budget }
+        Machines.sc prog
+    in
+    (Explore.bounded_value r.Explore.result, Explore.is_complete r.Explore.result)
   in
+  let set, complete = within Budget.unlimited in
   check "unlimited budget completes" true complete;
   check "unlimited budget equals full" true (set_eq set full);
-  let set0, _, complete0 = Sc.explore_within ~budget:(expired_budget ()) prog in
+  let set0, complete0 = within (expired_budget ()) in
   check "expired budget is partial" false complete0;
   check "partial SC is sound subset" true (Final.Set.subset set0 full)
 
 (* --- verify_machine: suspend / resume --------------------------------------- *)
 
-let test_verify_machine_suspend_resume () =
-  let machine = Machines.def2 and model = Weak_ordering.drf0 in
+let verify_suspend_resume machine =
+  let model = Weak_ordering.drf0 in
+  let label what = Machines.name machine ^ ": " ^ what in
   let small_corpus =
     List.filter
       (fun p ->
@@ -615,7 +628,7 @@ let test_verify_machine_suspend_resume () =
   let uninterrupted =
     Weak_ordering.verify_machine ~machine ~model small_corpus
   in
-  check "uninterrupted not suspended" true
+  check (label "uninterrupted not suspended") true
     (uninterrupted.Weak_ordering.suspended = None);
   let path = tmp_path ".ckpt" in
   (* An already-expired deadline: suspends before the first program with a
@@ -624,17 +637,17 @@ let test_verify_machine_suspend_resume () =
     Weak_ordering.verify_machine ~budget:(expired_budget ()) ~checkpoint:path
       ~machine ~model small_corpus
   in
-  check "suspended" true (r0.Weak_ordering.suspended <> None);
-  check_int "no verdicts yet" 0
+  check (label "suspended") true (r0.Weak_ordering.suspended <> None);
+  check_int (label "no verdicts yet") 0
     (List.length r0.Weak_ordering.report.Weak_ordering.verdicts);
   (* Resume without the budget: finishes, verdicts equal uninterrupted. *)
   let r1 =
     Weak_ordering.verify_machine ~resume:path ~checkpoint:path ~machine ~model
       small_corpus
   in
-  check "resumed run completes" true (r1.Weak_ordering.suspended = None);
+  check (label "resumed run completes") true (r1.Weak_ordering.suspended = None);
   Alcotest.(check (list (pair bool bool)))
-    "resumed verdicts == uninterrupted"
+    (label "resumed verdicts == uninterrupted")
     (List.map
        (fun v -> (v.Weak_ordering.ok, v.Weak_ordering.sc_appearance))
        uninterrupted.Weak_ordering.report.Weak_ordering.verdicts)
@@ -642,7 +655,7 @@ let test_verify_machine_suspend_resume () =
        (fun v -> (v.Weak_ordering.ok, v.Weak_ordering.sc_appearance))
        r1.Weak_ordering.report.Weak_ordering.verdicts);
   Alcotest.(check (list int))
-    "resumed state counts == uninterrupted"
+    (label "resumed state counts == uninterrupted")
     (List.map
        (fun v -> v.Weak_ordering.states)
        uninterrupted.Weak_ordering.report.Weak_ordering.verdicts)
@@ -656,7 +669,7 @@ let test_verify_machine_suspend_resume () =
        small_corpus
    with
   | exception Explore.Resume_rejected _ -> ()
-  | _ -> Alcotest.fail "checkpoint resumed under the wrong machine");
+  | _ -> Alcotest.fail (label "checkpoint resumed under the wrong machine"));
   (* Corrupt checkpoint with corrupt .prev: loud rejection. *)
   Out_channel.with_open_bin path (fun oc -> output_string oc "smashed");
   (try Sys.remove (Snapshot.prev_path path) with Sys_error _ -> ());
@@ -664,8 +677,11 @@ let test_verify_machine_suspend_resume () =
      Weak_ordering.verify_machine ~resume:path ~machine ~model small_corpus
    with
   | exception Explore.Resume_rejected _ -> ()
-  | _ -> Alcotest.fail "corrupt checkpoint accepted");
+  | _ -> Alcotest.fail (label "corrupt checkpoint accepted"));
   try Sys.remove path with Sys_error _ -> ()
+
+let test_verify_machine_suspend_resume () =
+  List.iter verify_suspend_resume [ Machines.def2; Machines.sc ]
 
 let test_verify_machine_degraded_is_bounded () =
   let machine = Machines.def2 and model = Weak_ordering.drf0 in

@@ -96,6 +96,7 @@ end
 module Probe_def2 = Probe (M_def2.Base)
 module Probe_wbuf = Probe (M_wbuf)
 module Probe_ooo = Probe (M_ooo)
+module Probe_sc = Probe (M_sc)
 
 let test_orbit_properties () =
   List.iter
@@ -103,7 +104,8 @@ let test_orbit_properties () =
       let prog = prog_of name in
       Probe_def2.check name prog;
       Probe_wbuf.check name prog;
-      Probe_ooo.check name prog)
+      Probe_ooo.check name prog;
+      Probe_sc.check name prog)
     [ "iriw"; "big3" ]
 
 let test_group_orders () =
@@ -184,12 +186,17 @@ let test_sc_differential () =
   List.iter
     (fun name ->
       let prog = prog_of name in
-      let set_off, states_off, _ =
-        Sc.explore_counted ~reduce:true ~sym:false prog
+      let explore sym =
+        let r =
+          Machines.explore ~reduce:true ~por_min_instrs:0
+            ~rcfg:{ Explore.rcfg_default with Explore.sym }
+            Machines.sc prog
+        in
+        ( Explore.bounded_value r.Explore.result,
+          r.Explore.stats.Explore.states_expanded )
       in
-      let set_on, states_on, _ =
-        Sc.explore_counted ~reduce:true ~sym:true prog
-      in
+      let set_off, states_off = explore false in
+      let set_on, states_on = explore true in
       Alcotest.(check bool) (name ^ ": sc outcome sets equal") true
         (Final.Set.equal set_off set_on);
       Alcotest.(check bool) (name ^ ": sc states not worse") true
