@@ -130,12 +130,13 @@ let mem_budget_flag =
     & opt (some int) None
     & info [ "mem-budget" ] ~docv:"BYTES"
         ~doc:
-          "Memory budget for the exploration visited set. When crossed \
-           without $(b,--spill-dir), the sequential engine degrades to a \
-           Bloom-filter visited set (sound: verdicts become bounded, \
-           never wrong) and the parallel engine suspends with a \
-           checkpoint; with $(b,--spill-dir), both engines spill the \
-           visited set to disk instead and coverage stays exhaustive.")
+          "Memory budget for the exploration visited set. When crossed, \
+           the hot tier of the visited set is flushed to CRC-checked \
+           immutable runs on disk and the sweep goes on: coverage stays \
+           exact. The runs go to $(b,--spill-dir) if given, else next to \
+           the checkpoint ($(i,CHECKPOINT).spill) for $(b,verify \
+           --checkpoint), else to a private temporary directory that is \
+           deleted when the sweep ends.")
 
 let no_sym_flag =
   Arg.(
@@ -153,22 +154,12 @@ let spill_dir_flag =
     & opt (some string) None
     & info [ "spill-dir" ] ~docv:"DIR"
         ~doc:
-          "Spill the exploration visited set to CRC-checked immutable \
-           runs in $(docv) when the memory budget is crossed (or the \
-           hot-tier cap is hit), instead of degrading to a lossy Bloom \
-           filter: coverage stays exhaustive under $(b,--mem-budget). \
-           The directory must exist; stale runs in it are removed.")
-
-let spill_threshold_flag =
-  Arg.(
-    value
-    & opt int Explore.spill_flush_default
-    & info [ "spill-threshold" ] ~docv:"KEYS"
-        ~doc:
-          "Hot-tier key cap of the spill store (default $(b,65536)): the \
-           in-RAM tier flushes to an on-disk run at this size even \
-           without a memory budget. Only meaningful with \
-           $(b,--spill-dir).")
+          "Directory for the visited-set runs that $(b,--mem-budget) \
+           spills (a hot tier over 65536 keys spills too). Created if \
+           missing; stale runs in it are removed. $(b,verify) keeps it \
+           after the run, so a checkpoint that names its runs resumes \
+           with the same $(b,--spill-dir); $(b,batch) and $(b,serve) \
+           give each job its own subdirectory.")
 
 let checkpoint_flag =
   Arg.(
@@ -370,8 +361,7 @@ let verify_cmd =
       & info [ "v"; "verbose" ]
           ~doc:
             "After the report, print one telemetry line per verdict: \
-             states, symmetry group and orbit hits, degradation point, \
-             spilled runs/keys.")
+             states, symmetry group and orbit hits, spilled runs/keys.")
   in
   let no_por_flag =
     Arg.(
@@ -394,8 +384,7 @@ let verify_cmd =
              budget.")
   in
   let action machine_name model_name files jobs no_por fuel deadline mem
-      checkpoint checkpoint_every resume no_sym spill_dir spill_threshold
-      verbose =
+      checkpoint checkpoint_every resume no_sym spill_dir verbose =
     let jobs = resolve_jobs jobs in
     let machine =
       match Machines.find machine_name with
@@ -414,7 +403,7 @@ let verify_cmd =
     in
     match
       Weak_ordering.verify_machine ~domains:jobs ?fuel ~por:(not no_por)
-        ~sym:(not no_sym) ?spill_dir ~spill_threshold
+        ~sym:(not no_sym) ?spill_dir
         ?budget:(budget_of ~deadline ~mem)
         ?checkpoint ~checkpoint_every ?resume
         ~on_event:(fun m -> Fmt.epr "weakord: %s@." m)
@@ -430,13 +419,10 @@ let verify_cmd =
           List.iter
             (fun v ->
               Fmt.pr
-                "  %-20s states=%d sym-group=%d sym-hits=%d%s%s@."
+                "  %-20s states=%d sym-group=%d sym-hits=%d%s@."
                 (Prog.name v.Weak_ordering.program)
                 v.Weak_ordering.states v.Weak_ordering.sym_group
                 v.Weak_ordering.sym_hits
-                (match v.Weak_ordering.degraded_at with
-                | Some n -> Fmt.str " degraded-at=%d" n
-                | None -> "")
                 (if v.Weak_ordering.spilled_runs > 0 then
                    Fmt.str " spilled-runs=%d spilled-keys=%d"
                      v.Weak_ordering.spilled_runs
@@ -463,7 +449,7 @@ let verify_cmd =
       const action $ machine_flag $ model_flag $ files_arg $ jobs_flag
       $ no_por_flag $ fuel_flag $ deadline_flag $ mem_budget_flag
       $ checkpoint_flag $ checkpoint_every_flag $ resume_flag $ no_sym_flag
-      $ spill_dir_flag $ spill_threshold_flag $ verbose_flag)
+      $ spill_dir_flag $ verbose_flag)
 
 (* --- sim -------------------------------------------------------------------- *)
 
@@ -1182,10 +1168,9 @@ let batch_cmd =
           ~doc:
             "Append results as JSONL to $(docv) (default: stdout). One \
              object per job, in completion order, carrying the engine \
-             telemetry ($(b,states), $(b,complete), $(b,degraded) — where \
-             the visited set fell back to a Bloom filter under \
-             $(b,--mem-budget), or $(b,null) — and $(b,spilled_runs), \
-             disk-spill sweeps under $(b,--spill-dir)); volatile fields \
+             telemetry ($(b,states), $(b,complete) and \
+             $(b,spilled_runs), the visited-set runs a sweep spilled to \
+             disk under $(b,--mem-budget)); volatile fields \
              ($(b,cached), $(b,attempts), $(b,ms)) come last so runs can \
              be compared after stripping them.")
   in
@@ -1362,8 +1347,8 @@ let serve_cmd =
           ~doc:
             "Append every finished ticket as JSONL to $(docv) — the same \
              record schema as $(b,weakord batch) (including the \
-             $(b,degraded) and $(b,spilled_runs) telemetry fields), with \
-             ticket numbers as job ids.")
+             $(b,spilled_runs) telemetry field), with ticket numbers as \
+             job ids.")
   in
   let workers_flag =
     Arg.(

@@ -62,12 +62,11 @@ let of_model m = { hw_name = Models.name m; outcomes = Models.outcomes m }
 let appears_sc ?(por = true) hw prog =
   Final.Set.subset (hw.outcomes prog) (Sc.outcomes ~reduce:por prog)
 
-type coverage = Exhaustive | Bounded of { reason : string; degraded : bool }
+type coverage = Exhaustive | Bounded of string
 
 let coverage_string = function
   | Exhaustive -> "exhaustive"
-  | Bounded { reason; degraded } ->
-      Printf.sprintf "bounded:%s%s" reason (if degraded then "+degraded" else "")
+  | Bounded reason -> "bounded:" ^ reason
 
 type verdict = {
   program : Prog.t;
@@ -77,7 +76,6 @@ type verdict = {
   coverage : coverage;
   states : int;
   reduced : bool;
-  degraded_at : int option;
   sym_group : int;
   sym_hits : int;
   spilled_runs : int;
@@ -108,7 +106,6 @@ let verify ?(por = true) ~hw ~model corpus =
           coverage = Exhaustive;
           states = 0;
           reduced = por;
-          degraded_at = None;
           sym_group = 1;
           sym_hits = 0;
           spilled_runs = 0;
@@ -182,9 +179,10 @@ type vckpt = {
   ck_inner : string option;  (* its framed explore snapshot, if any *)
 }
 
-(* "verify2": checkpointed verdicts gained the symmetry/spill detail
-   fields; older checkpoints are rejected by kind rather than misread. *)
-let verify_kind = "weakord.verify2"
+(* "verify3": checkpointed verdicts lost the degradation mark and the
+   coverage flag; older checkpoints are rejected by kind rather than
+   misread. *)
+let verify_kind = "weakord.verify3"
 
 let write_vckpt path ck =
   Snapshot.write_file path
@@ -218,9 +216,8 @@ let load_vckpt path =
       (ck, recovered)
 
 let verify_machine ?(domains = 1) ?fuel ?(por = true) ?(sym = true)
-    ?spill_dir ?(spill_threshold = Explore.spill_flush_default) ?budget
-    ?checkpoint ?(checkpoint_every = Explore.checkpoint_every_default)
-    ?resume ?(obs = Obs.null) ?(on_event = ignore) ~machine ~model corpus =
+    ?spill_dir ?budget ?checkpoint
+    ?(checkpoint_every = Explore.checkpoint_every_default) ?resume ?(obs = Obs.null) ?(on_event = ignore) ~machine ~model corpus =
   let corpus_a = Array.of_list corpus in
   let fps = List.map prog_fp corpus in
   let mname = Machines.name machine in
@@ -254,6 +251,17 @@ let verify_machine ?(domains = 1) ?fuel ?(por = true) ?(sym = true)
               else ""));
         (ck.ck_pos, ck.ck_done, ck.ck_inner, recovered)
   in
+  (* A memory budget spills.  Under a checkpoint the runs go next to it,
+     so the snapshots the checkpoint holds name files that survive a
+     kill; otherwise each sweep spills into a private temporary
+     directory. *)
+  let spill_dir =
+    match (spill_dir, Option.bind budget Budget.mem_bytes) with
+    | None, Some _ ->
+        let anchor = if checkpoint <> None then checkpoint else resume in
+        Option.map (fun p -> p ^ ".spill") anchor
+    | _ -> spill_dir
+  in
   let done_rev = ref (List.rev done0) in
   let inner_pending = ref inner0 in
   let suspended = ref None in
@@ -286,7 +294,6 @@ let verify_machine ?(domains = 1) ?fuel ?(por = true) ?(sym = true)
         resume = !inner_pending;
         sym;
         spill_dir;
-        spill_threshold;
         obs;
         on_event;
         cancel = None;
@@ -302,10 +309,8 @@ let verify_machine ?(domains = 1) ?fuel ?(por = true) ?(sym = true)
         if checkpoint = None then save !pos None
     | None -> (
         let hw_set = Explore.bounded_value r.Explore.result in
-        let degraded = r.Explore.stats.Explore.degraded_at <> None in
-        (* Deadline only: the SC reference sets are small (they are not
-           what the memory budget protects), and a memory-caused
-           inconclusive suspend here could never progress on resume. *)
+        (* Deadline only: the SC reference sets are small, not what the
+           memory budget protects. *)
         let sc =
           Machines.explore ~reduce:por
             ~rcfg:
@@ -328,14 +333,11 @@ let verify_machine ?(domains = 1) ?fuel ?(por = true) ?(sym = true)
           save !pos None
         end
         else begin
-          (* [subset] is trustworthy here: positive against any sound SC
-             superset-of-subset, and a negative (violation) is real even
-             degraded — hardware outcomes found are always real. *)
+          (* [subset] is trustworthy here: the hardware sweep is
+             complete, and a positive against a partial SC reference is
+             still sound. *)
           let coverage =
-            if degraded then Bounded { reason = "memory"; degraded = true }
-            else if not sc_complete then
-              Bounded { reason = "sc-budget"; degraded = false }
-            else Exhaustive
+            if sc_complete then Exhaustive else Bounded "sc-budget"
           in
           done_rev :=
             {
@@ -346,7 +348,6 @@ let verify_machine ?(domains = 1) ?fuel ?(por = true) ?(sym = true)
               coverage;
               states = r.Explore.stats.Explore.states_expanded;
               reduced = r.Explore.stats.Explore.por_enabled;
-              degraded_at = r.Explore.stats.Explore.degraded_at;
               sym_group = r.Explore.stats.Explore.sym_group;
               sym_hits = r.Explore.stats.Explore.sym_hits;
               spilled_runs = r.Explore.stats.Explore.spilled_runs;

@@ -38,14 +38,14 @@ val appears_sc : ?por:bool -> hardware -> Prog.t -> bool
 
 type coverage =
   | Exhaustive  (** every reachable state examined, exact visited set *)
-  | Bounded of { reason : string; degraded : bool }
-      (** a budget limited coverage ([reason] says which); [degraded]
-          marks a Bloom-filter visited set.  The verdict is still sound:
-          outcomes found are real, so a counterexample stands — only the
-          {e absence} of one is weaker than exhaustive. *)
+  | Bounded of string
+      (** a budget limited coverage (the string says which).  The
+          verdict is still sound: outcomes found are real, so a
+          counterexample stands — only the {e absence} of one is weaker
+          than exhaustive. *)
 
 val coverage_string : coverage -> string
-(** ["exhaustive"], ["bounded:memory+degraded"], ... *)
+(** ["exhaustive"], ["bounded:sc-budget"], ... *)
 
 type verdict = {
   program : Prog.t;
@@ -61,9 +61,6 @@ type verdict = {
           reduction enabled (the outcome set, and hence the verdict, is
           identical either way — this records which strategy produced
           it) *)
-  degraded_at : int option;
-      (** [Some n]: the visited set degraded to a Bloom filter after [n]
-          expansions (the memory budget crossed without a spill store) *)
   sym_group : int;
       (** order of the automorphism group the exploration reduced modulo
           ([1]: symmetry off or trivial) *)
@@ -106,12 +103,13 @@ val pp_report : Format.formatter -> report -> unit
 (** {1 Resumable verification}
 
     {!verify_machine} is {!verify} for an abstract machine with the
-    resilience layer threaded through: wall-clock/memory budgets stop the
-    campaign at a safe point, the whole campaign state — finished
-    verdicts, corpus position, and the in-flight program's exploration
-    snapshot — lives in ONE crash-safe checkpoint file (CRC-checked,
-    atomically installed, last-good [.prev] generation retained), and
-    [~resume] restarts from exactly there. *)
+    resilience layer threaded through: a deadline or fuel bound stops
+    the campaign at a safe point, a memory budget spills, and the whole
+    campaign state — finished verdicts, corpus position, and the
+    in-flight program's exploration snapshot — lives in ONE crash-safe
+    checkpoint file (CRC-checked, atomically installed, last-good
+    [.prev] generation retained), and [~resume] restarts from exactly
+    there. *)
 
 type run_report = {
   report : report;
@@ -130,7 +128,6 @@ val verify_machine :
   ?por:bool ->
   ?sym:bool ->
   ?spill_dir:string ->
-  ?spill_threshold:int ->
   ?budget:Budget.t ->
   ?checkpoint:string ->
   ?checkpoint_every:int ->
@@ -148,18 +145,19 @@ val verify_machine :
     inside a program, so a [SIGKILL] at any moment loses at most that
     much work.  [~resume path] validates the checkpoint (CRC, version,
     machine, model, corpus fingerprints) and continues; a resumed run
-    reaches the same verdicts as an uninterrupted one.  [~budget]
-    suspends the campaign cleanly ([suspended = Some _]) with a final
-    checkpoint instead of dying mid-sweep; under memory pressure the
-    sequential engine degrades to a Bloom-filter visited set and the
-    affected verdicts carry [Bounded] coverage (never reported
-    exhaustive).
+    reaches the same verdicts as an uninterrupted one.  [~budget]'s
+    deadline suspends the campaign cleanly ([suspended = Some _]) with
+    a final checkpoint instead of dying mid-sweep; its memory component
+    never suspends or bounds anything: the visited set spills to disk
+    and coverage stays {!Exhaustive}.
 
     [~sym] (default [true]) prunes each exploration modulo the program's
     automorphism group; verdicts are identical, [states] drops on
     symmetric programs ([--no-sym] is the differential escape hatch).
-    [~spill_dir] replaces memory-pressure degradation with an exact
-    tiered visited store ({!Spill_store}) in that directory: the sweep
-    spills instead of forgetting and coverage stays {!Exhaustive};
-    [~spill_threshold] caps its RAM tier.
+    [~spill_dir] names the directory of the exact tiered visited store
+    ({!Spill_store}) a memory budget spills into.  It defaults to
+    [CHECKPOINT.spill] under [~checkpoint] (or [RESUME.spill] under
+    [~resume] alone), so a killed run resumes from the runs its
+    checkpoint names; with neither, each sweep spills into a private
+    temporary directory.
     @raise Explore.Resume_rejected when [~resume] fails validation. *)

@@ -39,10 +39,7 @@
    sleep sets preserve all sinks, so the reduced sweep reaches the same
    outcome set; the differential suite pins this machine by machine.
    Reduction composes with the bound contract unchanged: a reduced
-   [Partial] is still a sound subset.  Degraded Bloom mode disables
-   reduction loudly — the approximate visited set cannot support the
-   sleep-set revisit protocol, and a degraded run is already pinned
-   [Partial].
+   [Partial] is still a sound subset.
 
    The resilience layer rides on three hooks:
 
@@ -53,13 +50,11 @@
    - that triple is periodically marshalled into a CRC-checked
      [Snapshot] frame and handed to the configured sink — and once more
      when a budget stops the sweep;
-   - when the visited set crosses the memory budget, the sequential
-     engine migrates it into a Bloom filter and keeps going: a
-     false-positive "seen" can only prune, so the outcome set stays a
-     sound subset, and the result is pinned [Partial] so degraded
-     coverage is never reported exhaustive.  (The parallel engine drains
-     at the budget instead — its sharded exact table cannot be swapped
-     mid-sweep without a barrier.) *)
+   - a memory budget always runs on a spill store ([rcfg.spill_dir], or
+     a private temporary directory deleted when the sweep ends): both
+     engines flush the hot visited tier to an immutable run on disk when
+     it crosses the budget, so membership stays exact and memory
+     pressure alone never makes a result [Partial]. *)
 
 type 'a bounded = Complete of 'a | Partial of 'a
 
@@ -69,13 +64,11 @@ let is_complete = function Complete _ -> true | Partial _ -> false
 type stop_reason =
   | Fuel_exhausted
   | Deadline_exceeded
-  | Memory_exhausted
   | Cancelled
 
 let stop_reason_string = function
   | Fuel_exhausted -> "fuel"
   | Deadline_exceeded -> "deadline"
-  | Memory_exhausted -> "memory"
   | Cancelled -> "cancel"
 
 type stats = {
@@ -86,7 +79,6 @@ type stats = {
   donations : int;
   table_buckets : int;
   max_probe : int;
-  degraded_at : int option;
   por_enabled : bool;
   oracle_calls : int;
   ample_hits : int;
@@ -117,10 +109,7 @@ let pp_stats ppf s =
       s.sym_hits;
   if s.spilled_runs > 0 then
     Format.fprintf ppf "; spill: %d run(s), %d key(s) on disk" s.spilled_runs
-      s.spilled_keys;
-  match s.degraded_at with
-  | Some n -> Format.fprintf ppf "; DEGRADED to Bloom visited set at %d" n
-  | None -> ()
+      s.spilled_keys
 
 type run_result = {
   result : Final.Set.t bounded;
@@ -133,8 +122,9 @@ type run_result = {
 let checkpoint_every_default = 1000
 
 (* Hot-tier cap of the spill store, in keys: a flush is forced when the
-   RAM tier reaches this many keys even without a memory budget, so a
-   spilling sweep's resident set stays bounded by construction. *)
+   RAM tier reaches this many keys even before the memory budget is
+   crossed, so a spilling sweep's resident set stays bounded by
+   construction. *)
 let spill_flush_default = 65_536
 
 type rcfg = {
@@ -144,7 +134,6 @@ type rcfg = {
   resume : string option;
   sym : bool;
   spill_dir : string option;
-  spill_threshold : int;
   obs : Obs.t;
   on_event : string -> unit;
   cancel : (unit -> bool) option;
@@ -158,7 +147,6 @@ let rcfg_default =
     resume = None;
     sym = true;
     spill_dir = None;
-    spill_threshold = spill_flush_default;
     obs = Obs.null;
     on_event = ignore;
     cancel = None;
@@ -183,9 +171,9 @@ let por_min_instrs_default = 11
 let spill_threshold_default = 2000
 
 module Make (M : Machine_sig.MACHINE) = struct
-  (* Keys are hashed once, when first canonicalized; the table, the
-     shard selector and the Bloom filter all reuse the cached hash, and
-     equality fast-fails on it. *)
+  (* Keys are hashed once, when first canonicalized; the table and the
+     shard selector reuse the cached hash, and equality fast-fails on
+     it. *)
   type hkey = { kh : int; kk : M.key }
 
   module H = Hashtbl.Make (struct
@@ -211,7 +199,6 @@ module Make (M : Machine_sig.MACHINE) = struct
 
   type visited_repr =
     | Exact_keys of (M.key * Machine_sig.action list) array
-    | Bloom_filter of Bloom.state
     | Spilled of Spill_store.state
         (** visited set lives in a tiered spill store: hot keys inline,
             the rest named by immutable run files on disk *)
@@ -228,13 +215,12 @@ module Make (M : Machine_sig.MACHINE) = struct
     s_sym_hits : int;
         (** carried so a resumed run's telemetry continues the count —
             the verbose report stays byte-identical across kill/resume *)
-    s_degraded_at : int option;
   }
 
-  (* "explore3": the resume payload gained the symmetry mode pin and the
-     spill-store visited representation; older snapshots are rejected by
-     kind rather than misread. *)
-  let snap_kind = "weakord.explore3/" ^ M.name
+  (* "explore4": the Bloom-filter visited representation and the
+     degradation mark left the resume payload; older snapshots are
+     rejected by kind rather than misread. *)
+  let snap_kind = "weakord.explore4/" ^ M.name
 
   let fingerprint prog =
     Format.asprintf "%s|%a" (Prog.name prog) Prog.pp prog
@@ -281,7 +267,7 @@ module Make (M : Machine_sig.MACHINE) = struct
   let snap_has_sleeps s =
     (match s.s_visited with
     | Exact_keys pairs -> Array.exists (fun (_, sl) -> sl <> []) pairs
-    | Bloom_filter _ | Spilled _ -> false)
+    | Spilled _ -> false)
     || List.exists (fun (_, sl) -> sl <> []) s.s_frontier
 
   (* Rough per-entry cost of the exact visited set: the key's reachable
@@ -291,12 +277,6 @@ module Make (M : Machine_sig.MACHINE) = struct
   let entry_bytes_estimate prog =
     let k = M.canon (M.initial prog) in
     (Obj.reachable_words (Obj.repr k) + 4) * (Sys.word_size / 8)
-
-  (* Bloom probes come from two independent structural hashes of the key:
-     the machine's own (cached in the [hkey]) and a seeded stdlib
-     traversal. *)
-  let bloom_hashes hk =
-    (hk.kh, Hashtbl.seeded_hash_param 128 256 0x9e3779b9 hk.kk)
 
   (* --- sequential engine ---------------------------------------------------- *)
 
@@ -309,7 +289,7 @@ module Make (M : Machine_sig.MACHINE) = struct
      multi-domain request ([use_sleep:false], ample-only, so its visited
      set can be handed to the parallel engine at [spill]).  Returns the
      spill resume point instead of finishing when the threshold hits. *)
-  let run_seq ~oracle:oracle0 ~use_sleep ?spill ~perms ~store ~resumed ~fuel
+  let run_seq ~oracle ~use_sleep ?spill ~perms ~store ~resumed ~fuel
       ~(rcfg : rcfg) prog =
     (* The interner doubles as the transposition table: a key's presence
        means the state was claimed; its value is the sleep set stored by
@@ -320,13 +300,10 @@ module Make (M : Machine_sig.MACHINE) = struct
        starts small: on litmus-sized programs its allocation would be the
        engine's whole fixed cost per run, and it grows anyway. *)
     let visited : Machine_sig.action list ref H.t = H.create 64 in
-    let bloom = ref None in
     let claimed = ref 0 in
     let acc = ref Final.Set.empty in
     let expanded = ref 0 in
-    let degraded_at = ref None in
-    let oracle = ref oracle0 in
-    let reduce_on = oracle0 <> None in
+    let reduce_on = oracle <> None in
     let oracle_calls = ref 0 in
     let ample_hits = ref 0 in
     let suppressed = ref 0 in
@@ -367,25 +344,18 @@ module Make (M : Machine_sig.MACHINE) = struct
                 let hk = hkey k in
                 if not (H.mem visited hk) then H.add visited hk (ref sl))
               pairs
-        | Bloom_filter bs, None -> bloom := Some (Bloom.import bs)
         | Spilled _, None -> assert false (* rejected in [run] *));
         claimed := s.s_claimed;
         acc := s.s_acc;
         expanded := s.s_expanded;
         sym_hits := s.s_sym_hits;
-        degraded_at := s.s_degraded_at;
-        if !degraded_at <> None then oracle := None;
         stack := List.map (fun (st, sl) -> { fs = st; fsleep = sl }) s.s_frontier;
         Obs.instant rcfg.obs ~cat:"explore" ~name:"resume" ~tid:0
           ~ts:s.s_expanded ~loc:"" ~cause:"";
         rcfg.on_event
           (Printf.sprintf
-             "resumed %s/%s: %d state(s) already expanded, frontier %d%s"
-             M.name (Prog.name prog) s.s_expanded (List.length s.s_frontier)
-             (match s.s_degraded_at with
-             | Some n ->
-                 Printf.sprintf " (degraded to Bloom visited set at %d)" n
-             | None -> "")));
+             "resumed %s/%s: %d state(s) already expanded, frontier %d"
+             M.name (Prog.name prog) s.s_expanded (List.length s.s_frontier)));
     let make_snap () =
       (* Stored sleep sets exist only to answer the revisit protocol
          while exploration continues.  Once the frontier is empty nothing
@@ -396,21 +366,18 @@ module Make (M : Machine_sig.MACHINE) = struct
       let repr =
         match store with
         | Some sp -> Spilled (Spill_store.export sp)
-        | None -> (
-            match !bloom with
-            | Some b -> Bloom_filter (Bloom.export b)
-            | None ->
-                let pairs =
-                  Array.make (H.length visited)
-                    (M.canon (M.initial prog), ([] : Machine_sig.action list))
-                in
-                let i = ref 0 in
-                H.iter
-                  (fun hk sl ->
-                    pairs.(!i) <- (hk.kk, (if keep_sleeps then !sl else []));
-                    incr i)
-                  visited;
-                Exact_keys pairs)
+        | None ->
+            let pairs =
+              Array.make (H.length visited)
+                (M.canon (M.initial prog), ([] : Machine_sig.action list))
+            in
+            let i = ref 0 in
+            H.iter
+              (fun hk sl ->
+                pairs.(!i) <- (hk.kk, (if keep_sleeps then !sl else []));
+                incr i)
+              visited;
+            Exact_keys pairs
       in
       {
         s_fingerprint = fingerprint prog;
@@ -422,7 +389,6 @@ module Make (M : Machine_sig.MACHINE) = struct
         s_acc = !acc;
         s_expanded = !expanded;
         s_sym_hits = !sym_hits;
-        s_degraded_at = !degraded_at;
       }
     in
     let take_snapshot () = encode_snap (make_snap ()) in
@@ -448,43 +414,9 @@ module Make (M : Machine_sig.MACHINE) = struct
               ~ts:!expanded ~loc:"" ~cause:""
           end
     in
-    (* Migrate the exact table into a Bloom filter: sized at ~32 bits per
-       key already claimed (with a 2^20 floor) the false-positive rate is
-       negligible at litmus scale, and the byte cost per future state
-       drops from hundreds to four bits.  The approximate table cannot
-       answer the sleep-set revisit protocol, so reduction is switched
-       off for the rest of the sweep — the run is pinned Partial anyway. *)
-    let degrade () =
-      let bits = max (1 lsl 20) (32 * !claimed) in
-      let b = Bloom.create ~bits in
-      H.iter
-        (fun hk _ ->
-          let h1, h2 = bloom_hashes hk in
-          ignore (Bloom.add_mem b h1 h2))
-        visited;
-      H.reset visited;
-      bloom := Some b;
-      degraded_at := Some !expanded;
-      let por_note =
-        if !oracle <> None then begin
-          oracle := None;
-          "; partial-order reduction disabled for the rest of the sweep"
-        end
-        else ""
-      in
-      Obs.instant rcfg.obs ~cat:"explore" ~name:"degrade" ~tid:0 ~ts:!expanded
-        ~loc:"" ~cause:"mem-budget";
-      rcfg.on_event
-        (Printf.sprintf
-           "memory budget crossed at %d state(s) (~%d bytes of visited \
-            set): degrading to a Bloom-filter visited set (%d bits) — \
-            coverage is now approximate, the verdict will be Partial%s"
-           !expanded (!claimed * entry_bytes) (Bloom.bits b) por_note)
-    in
-    (* The spill-store counterpart of [degrade]: crossing the memory
-       budget flushes the hot tier into an immutable run on disk instead
-       of forgetting anything, so membership stays exact and the result
-       stays [Complete]. *)
+    (* Crossing the memory budget flushes the hot tier into an immutable
+       run on disk: nothing is forgotten, so membership stays exact and
+       the result stays [Complete]. *)
     let spill_flush sp =
       Spill_store.flush sp;
       Gc.compact ();
@@ -500,9 +432,9 @@ module Make (M : Machine_sig.MACHINE) = struct
     in
     let push fs fsleep = stack := { fs; fsleep } :: !stack in
     (* Expand a freshly claimed state.  [stored] is its visited-table
-       slot (None once degraded); the first expansion records the arrival
-       sleep restricted to enabled transitions so a later visit with a
-       smaller sleep set knows exactly what to re-fire. *)
+       slot (None with a spill store); the first expansion records the
+       arrival sleep restricted to enabled transitions so a later visit
+       with a smaller sleep set knows exactly what to re-fire. *)
     let expand_fresh st ~stored ~sleep =
       incr expanded;
       match M.final prog st with
@@ -514,7 +446,7 @@ module Make (M : Machine_sig.MACHINE) = struct
             (fun pi -> acc := Final.Set.add (Sym.apply_final pi f) !acc)
             perms
       | None -> (
-          match !oracle with
+          match oracle with
           | None -> List.iter (fun s -> push s []) (M.successors prog st)
           | Some o -> (
               incr oracle_calls;
@@ -575,7 +507,7 @@ module Make (M : Machine_sig.MACHINE) = struct
       in
       if need <> [] then begin
         stored := keep;
-        match !oracle with
+        match oracle with
         | None -> ()
         | Some o ->
             let fired = ref [] in
@@ -617,7 +549,7 @@ module Make (M : Machine_sig.MACHINE) = struct
           incr iters;
           if !expanded >= fuel then stop := Some Fuel_exhausted;
           (match spill with
-          | Some sp when !stop = None && !bloom = None && !expanded >= sp ->
+          | Some sp when !stop = None && !expanded >= sp ->
               spilled := true
           | _ -> ());
           if !stop <> None || !spilled then running := false
@@ -639,27 +571,13 @@ module Make (M : Machine_sig.MACHINE) = struct
                 end
             | None -> (
                 let hk = hkey kk in
-                match !bloom with
-                | Some b ->
-                    let h1, h2 = bloom_hashes hk in
-                    if not (Bloom.add_mem b h1 h2) then begin
-                      incr claimed;
-                      expand_fresh st ~stored:None ~sleep
-                    end
-                | None -> (
-                    match H.find_opt visited hk with
-                    | Some stored -> revisit st ~stored ~sleep
-                    | None ->
-                        let stored = ref [] in
-                        H.add visited hk stored;
-                        incr claimed;
-                        (match rcfg.budget with
-                        | Some b
-                          when Budget.over_memory b
-                                 ~bytes:(!claimed * entry_bytes) ->
-                            degrade ()
-                        | _ -> ());
-                        expand_fresh st ~stored:(Some stored) ~sleep)));
+                match H.find_opt visited hk with
+                | Some stored -> revisit st ~stored ~sleep
+                | None ->
+                    let stored = ref [] in
+                    H.add visited hk stored;
+                    incr claimed;
+                    expand_fresh st ~stored:(Some stored) ~sleep));
             if
               rcfg.snapshot_sink <> None
               && !expanded mod rcfg.checkpoint_every = 0
@@ -676,7 +594,7 @@ module Make (M : Machine_sig.MACHINE) = struct
         ~ts:!expanded ~value:!suppressed
     end;
     let table_buckets, max_probe =
-      if !bloom = None && store = None then
+      if store = None then
         let hstats = H.stats visited in
         (hstats.Hashtbl.num_buckets, hstats.Hashtbl.max_bucket_length)
       else (0, 0)
@@ -688,9 +606,8 @@ module Make (M : Machine_sig.MACHINE) = struct
           let s = Spill_store.stats sp in
           (s.Spill_store.st_runs, s.Spill_store.st_spilled_keys)
     in
-    let partial = !stop <> None || !degraded_at <> None in
     ( {
-        result = (if partial then Partial !acc else Complete !acc);
+        result = (if !stop <> None then Partial !acc else Complete !acc);
         stop = !stop;
         stats =
           {
@@ -701,7 +618,6 @@ module Make (M : Machine_sig.MACHINE) = struct
             donations = 0;
             table_buckets;
             max_probe;
-            degraded_at = !degraded_at;
             por_enabled = reduce_on;
             oracle_calls = !oracle_calls;
             ample_hits = !ample_hits;
@@ -716,11 +632,10 @@ module Make (M : Machine_sig.MACHINE) = struct
 
   (* --- parallel engine ------------------------------------------------------ *)
 
-  type shard = { lock : Mutex.t; table : int H.t }
+  type shard = { lock : Mutex.t; table : unit H.t }
 
   type shared = {
     shards : shard array;
-    next_id : int Atomic.t;
     queue_lock : Mutex.t;
     work : Condition.t;
     mutable pending : M.state list;  (** overflow frontier, any order *)
@@ -752,7 +667,7 @@ module Make (M : Machine_sig.MACHINE) = struct
     let s = shard_of sh hk in
     Mutex.lock s.lock;
     let fresh = not (H.mem s.table hk) in
-    if fresh then H.add s.table hk (Atomic.fetch_and_add sh.next_id 1);
+    if fresh then H.add s.table hk ();
     Mutex.unlock s.lock;
     fresh
 
@@ -839,10 +754,10 @@ module Make (M : Machine_sig.MACHINE) = struct
       match l with [] -> (acc, []) | x :: rest -> split_half (n - 1) (x :: acc) rest
 
   (* Parallel workers run ample-only reduction: the ample choice is a
-     function of the state alone, so the claimed-state set stays
-     schedule-independent.  (Sleep sets are a property of the visit
-     order; they stay sequential.)  Per-worker reduction counters avoid
-     atomic traffic; the parent sums them. *)
+     function of the state alone, so without symmetry the claimed-state
+     set is schedule-independent.  (Sleep sets are a property of the
+     visit order; they stay sequential.)  Per-worker reduction counters
+     avoid atomic traffic; the parent sums them. *)
   let worker sh oracle perms prog =
     let acc = ref Final.Set.empty in
     let oracle_calls = ref 0 in
@@ -851,8 +766,11 @@ module Make (M : Machine_sig.MACHINE) = struct
     let sym_hits = ref 0 in
     let local = ref [] in
     let iters = ref 0 in
-    (* Deterministic function of the state alone, so symmetry pruning
-       keeps the claimed-state set schedule-independent. *)
+    (* The orbit representative is a function of the state alone, but
+       the member of the orbit that is expanded is whichever arrives
+       first, and the ample choice is made on that member.  With
+       symmetry on, the claimed-state count therefore depends on the
+       schedule (the outcome set does not). *)
     let orbit_min k =
       match perms with
       | [] -> k
@@ -893,23 +811,19 @@ module Make (M : Machine_sig.MACHINE) = struct
       else begin
         (match sh.budget with
         | Some b when !iters land 63 = 0 ->
+            (* A memory budget always comes with a store ([run]), so
+               [bytes] only matters when there is one. *)
             let bytes =
               match sh.store with
               | Some sp -> Spill_store.hot_size sp * sh.entry_bytes
-              | None -> Atomic.get sh.next_id * sh.entry_bytes
+              | None -> 0
             in
             (match Budget.check b ~bytes with
             | Some Budget.Deadline -> set_stop sh Deadline_exceeded
-            | Some Budget.Memory -> (
-                match sh.store with
-                | Some sp ->
-                    (* Spill instead of stopping: the hot tier flushes to
-                       an immutable run and the sweep stays exact. *)
-                    Spill_store.flush sp
-                | None ->
-                    (* The sharded exact table cannot migrate to a Bloom
-                       filter mid-sweep; drain cleanly instead. *)
-                    set_stop sh Memory_exhausted)
+            | Some Budget.Memory ->
+                (* The hot tier flushes to an immutable run and the
+                   sweep stays exact. *)
+                Option.iter Spill_store.flush sh.store
             | None -> ())
         | _ -> ());
         (match sh.cancel with
@@ -984,19 +898,11 @@ module Make (M : Machine_sig.MACHINE) = struct
 
   let run_par ~oracle ~perms ~store ~resumed ~domains ~fuel ~(rcfg : rcfg)
       prog =
-    (match resumed with
-    | Some { s_visited = Bloom_filter _; _ } ->
-        raise
-          (Resume_rejected
-             "this snapshot's visited set is a Bloom filter (degraded \
-              run); resume it with the sequential engine (--jobs 1)")
-    | _ -> ());
     let sh =
       {
         shards =
           Array.init n_shards (fun _ ->
               { lock = Mutex.create (); table = H.create 1024 });
-        next_id = Atomic.make 0;
         queue_lock = Mutex.create ();
         work = Condition.create ();
         pending = [ M.initial prog ];
@@ -1028,7 +934,7 @@ module Make (M : Machine_sig.MACHINE) = struct
               ()
           | Exact_keys pairs, None ->
               Array.iter (fun (k, _) -> ignore (try_claim sh (hkey k))) pairs
-          | (Bloom_filter _ | Spilled _), None -> assert false);
+          | Spilled _, None -> assert false);
           Atomic.set sh.expanded s.s_expanded;
           resumed_sym_hits := s.s_sym_hits;
           sh.pending <- List.map fst s.s_frontier;
@@ -1094,7 +1000,6 @@ module Make (M : Machine_sig.MACHINE) = struct
                s_acc = acc;
                s_expanded = Atomic.get sh.expanded;
                s_sym_hits = sym_hits;
-               s_degraded_at = None;
              });
         Obs.instant rcfg.obs ~cat:"explore" ~name:"checkpoint" ~tid:0
           ~ts:(Atomic.get sh.expanded) ~loc:"" ~cause:""
@@ -1133,7 +1038,6 @@ module Make (M : Machine_sig.MACHINE) = struct
           donations = Atomic.get sh.donations;
           table_buckets = buckets;
           max_probe;
-          degraded_at = None;
           por_enabled = oracle <> None;
           oracle_calls;
           ample_hits;
@@ -1156,8 +1060,6 @@ module Make (M : Machine_sig.MACHINE) = struct
     | _ -> ());
     if rcfg.checkpoint_every < 1 then
       invalid_arg "Explore.run: checkpoint_every must be >= 1";
-    if rcfg.spill_threshold < 1 then
-      invalid_arg "Explore.run: spill_threshold must be >= 1";
     let fuel = Option.value fuel ~default:max_int in
     (* The cheap guard: below the instruction threshold the whole state
        space is a few thousand states and the oracle costs more than it
@@ -1195,52 +1097,25 @@ module Make (M : Machine_sig.MACHINE) = struct
                 (if s.s_sym then "on" else "off")
                 (if sym_on then "on" else "off")))
     | _ -> ());
-    (* The spill store is decided (and loaded) before any engine starts:
-       it is active from the very first claim or not at all — no
-       mid-sweep migration. *)
-    let store =
-      match rcfg.spill_dir with
-      | None -> (
-          match resumed with
-          | Some { s_visited = Spilled _; _ } ->
-              raise
-                (Resume_rejected
-                   "this snapshot's visited set lives in a spill store; \
-                    resume it with the same --spill-dir")
-          | _ -> None)
-      | Some dir -> (
-          let threshold = rcfg.spill_threshold in
-          match resumed with
-          | Some { s_visited = Spilled xs; _ } -> (
-              match Spill_store.import ~dir ~threshold xs with
-              | sp -> Some sp
-              | exception Spill_store.Corrupt msg ->
-                  raise
-                    (Resume_rejected ("spill store failed validation: " ^ msg)))
-          | Some { s_visited = Bloom_filter _; _ } ->
-              raise
-                (Resume_rejected
-                   "this snapshot's visited set is a Bloom filter (degraded \
-                    run); it cannot seed an exact spill store")
-          | Some { s_visited = Exact_keys pairs; _ } ->
-              let sp = Spill_store.create ~dir ~threshold in
-              Array.iter
-                (fun (k, _) ->
-                  ignore
-                    (Spill_store.add sp
-                       (Marshal.to_string k [ Marshal.No_sharing ])))
-                pairs;
-              Some sp
-          | None -> Some (Spill_store.create ~dir ~threshold))
+    (* A memory budget is honoured by spilling, never by forgetting: a
+       budget with a memory component and no [spill_dir] gets its store
+       in a private temporary directory, deleted when the sweep ends. *)
+    let private_spill =
+      rcfg.spill_dir = None && Option.bind rcfg.budget Budget.mem_bytes <> None
     in
+    (match (rcfg.spill_dir, resumed) with
+    | None, Some { s_visited = Spilled _; _ } ->
+        raise
+          (Resume_rejected
+             "this snapshot's visited set lives in a spill store; resume it \
+              with the same --spill-dir")
+    | _ -> ());
     (* Sleep sets are path-dependent: a revisit under a smaller sleep set
        must re-fire transitions, which neither the membership-only store
        nor orbit-merged visits can answer.  Ample-set reduction (a
        function of the state alone) stays on. *)
-    let use_sleep = (not sym_on) && store = None in
-    let finish r =
-      Option.iter Spill_store.close store;
-      r
+    let use_sleep =
+      (not sym_on) && rcfg.spill_dir = None && not private_spill
     in
     let reject_sleeps () =
       match resumed with
@@ -1255,6 +1130,46 @@ module Make (M : Machine_sig.MACHINE) = struct
     (* A sleep-carrying snapshot can only resume where the revisit
        protocol still runs: sequential, no symmetry, no spill store. *)
     if not use_sleep then reject_sleeps ();
+    let private_dir =
+      if private_spill then Some (Filename.temp_dir "weakord_spill" "")
+      else None
+    in
+    Fun.protect ~finally:(fun () ->
+        Option.iter Spill_store.remove_dir private_dir)
+    @@ fun () ->
+    (* The spill store is decided (and loaded) before any engine starts:
+       it is active from the very first claim or not at all — no
+       mid-sweep migration. *)
+    let spill_dir =
+      match rcfg.spill_dir with Some _ as d -> d | None -> private_dir
+    in
+    let store =
+      match spill_dir with
+      | None -> None
+      | Some dir -> (
+          let threshold = spill_flush_default in
+          match resumed with
+          | Some { s_visited = Spilled xs; _ } -> (
+              match Spill_store.import ~dir ~threshold xs with
+              | sp -> Some sp
+              | exception Spill_store.Corrupt msg ->
+                  raise
+                    (Resume_rejected ("spill store failed validation: " ^ msg)))
+          | Some { s_visited = Exact_keys pairs; _ } ->
+              let sp = Spill_store.create ~dir ~threshold in
+              Array.iter
+                (fun (k, _) ->
+                  ignore
+                    (Spill_store.add sp
+                       (Marshal.to_string k [ Marshal.No_sharing ])))
+                pairs;
+              Some sp
+          | None -> Some (Spill_store.create ~dir ~threshold))
+    in
+    let finish r =
+      Option.iter Spill_store.close store;
+      r
+    in
     if domains = 1 then
       finish
         (fst
@@ -1267,8 +1182,9 @@ module Make (M : Machine_sig.MACHINE) = struct
     else begin
       (* Adaptive parallelism: never spawn more domains than the machine
          has cores, and never spawn any before the frontier proves it is
-         worth it — a sequential probe sweeps until [spill_threshold] and
-         hands its visited set over only if it is still going. *)
+         worth it — a sequential probe sweeps until
+         [spill_threshold_default] and hands its visited set over only if
+         it is still going. *)
       let recommended = Domain.recommended_domain_count () in
       let eff = min domains recommended in
       if eff = 1 then begin

@@ -2,13 +2,13 @@
     table, optional parallel (multi-domain) frontier sweep, fuel bounds —
     and the resilience layer: wall-clock/memory budgets checked at safe
     points, crash-safe checkpoints of the frontier + transposition table,
-    resume, and graceful degradation to a Bloom-filter visited set under
-    memory pressure. *)
+    resume, and an exact disk-spilling visited set under memory
+    pressure. *)
 
 type 'a bounded = Complete of 'a | Partial of 'a
-(** [Partial] means coverage cannot be trusted to be exhaustive: a budget
-    (fuel, deadline, memory) cut the sweep short, or the visited set was
-    degraded to a Bloom filter.  The carried set is always a sound
+(** [Partial] means coverage cannot be trusted to be exhaustive: a bound
+    (fuel, deadline, cancellation) cut the sweep short.  A memory budget
+    never does — it spills.  The carried set is always a sound
     {e subset} of the complete outcome set (exploration only cuts
     branches, never invents outcomes) — so any violation it contains is
     real. *)
@@ -22,15 +22,12 @@ val is_complete : 'a bounded -> bool
 type stop_reason =
   | Fuel_exhausted  (** the distinct-states-expanded bound was reached *)
   | Deadline_exceeded  (** the budget's wall-clock deadline passed *)
-  | Memory_exhausted
-      (** the parallel engine drained at the memory budget (the
-          sequential engine degrades to a Bloom visited set instead) *)
   | Cancelled
       (** the [rcfg.cancel] hook asked the sweep to stop — a supervisor
           draining its workers, a per-job soft timeout *)
 
 val stop_reason_string : stop_reason -> string
-(** ["fuel"], ["deadline"], ["memory"] or ["cancel"]. *)
+(** ["fuel"], ["deadline"] or ["cancel"]. *)
 
 type stats = {
   states_expanded : int;
@@ -49,13 +46,9 @@ type stats = {
           starving one (0 on sequential runs) *)
   table_buckets : int;
       (** total hash-table buckets across shards; [claimed /.
-          table_buckets] is the load factor ([0] once degraded — the
-          exact table was dropped) *)
+          table_buckets] is the load factor ([0] with a spill store,
+          which replaces the table) *)
   max_probe : int;  (** longest bucket chain in any shard — probe cost *)
-  degraded_at : int option;
-      (** [Some n]: the visited set switched to a Bloom filter after [n]
-          expansions (memory budget crossed); coverage is approximate
-          from then on and the result is pinned [Partial] *)
   por_enabled : bool;
       (** partial-order reduction was active for this run (the machine
           declared an oracle and the program cleared the size guard) *)
@@ -76,7 +69,7 @@ type stats = {
           symmetry reduction may merge *)
   spilled_runs : int;
       (** immutable visited-set runs written to the spill directory
-          ([0] without [--spill-dir]) *)
+          ([0] without a spill store) *)
   spilled_keys : int;  (** visited keys resident on disk rather than RAM *)
 }
 (** Telemetry from one exploration sweep. *)
@@ -89,8 +82,8 @@ type run_result = {
   result : Final.Set.t bounded;
   stats : stats;
   stop : stop_reason option;
-      (** why the sweep stopped early; [None] when the frontier drained
-          (even under degradation, where the result is still [Partial]) *)
+      (** why the sweep stopped early; [None] exactly when the frontier
+          drained and the result is [Complete] *)
 }
 (** The outcome set together with the sweep's telemetry. *)
 
@@ -113,7 +106,9 @@ type rcfg = {
       (** receives framed snapshot bytes (see {!Snapshot}): periodically
           every [checkpoint_every] expansions, and once at any early stop
           — the caller decides where they live (a file, an enclosing
-          checkpoint) *)
+          checkpoint).  A snapshot of a spilling run names run files in
+          the spill directory, so only a run with an explicit
+          [spill_dir] leaves a resumable one *)
   resume : string option;
       (** framed snapshot bytes to restore before exploring; validated
           (CRC, version, machine, program) — never silently trusted *)
@@ -128,19 +123,19 @@ type rcfg = {
           revisit protocol — while ample-set reduction stays on. *)
   spill_dir : string option;
       (** directory for a tiered exact visited store ({!Spill_store}):
-          under memory pressure the sweep flushes its hot visited tier
-          into immutable runs there instead of degrading to a lossy
-          Bloom filter, so the result stays [Complete].  Active from the
-          first claim or not at all; disables sleep sets like [sym]. *)
-  spill_threshold : int;
-      (** hot-tier key cap of the spill store (flush happens at the cap
-          even without a memory budget); {!spill_flush_default} *)
+          when the visited set crosses the memory budget the sweep
+          flushes its hot tier into immutable runs there, so the result
+          stays [Complete].  Without it, a budget with a memory
+          component gets a store in a private temporary directory that
+          is deleted when the sweep ends.  The store is active from the
+          first claim or not at all; it disables sleep sets like
+          [sym]. *)
   obs : Obs.t;
       (** receives ["explore"]-category instants for checkpoint, resume
-          and degradation events *)
+          and spill events *)
   on_event : string -> unit;
-      (** loud human-readable notices (degradation, recovery); the CLI
-          routes this to stderr *)
+      (** loud human-readable notices (spills, recovery); the CLI routes
+          this to stderr *)
   cancel : (unit -> bool) option;
       (** the per-job stop hook: polled at the same safe points as the
           budget (both engines).  Returning [true] stops the sweep with
@@ -158,11 +153,10 @@ val rcfg_default : rcfg
 exception Resume_rejected of string
 (** A resume snapshot failed validation: corrupted (CRC), version-skewed,
     wrong machine, wrong program, taken under the opposite reduction or
-    symmetry setting, a degraded (Bloom) snapshot offered to the parallel
-    engine, a reduced sequential snapshot (carrying sleep-set state)
-    offered to a parallel run, a spill-store snapshot resumed without its
-    [spill_dir] (or with a corrupted store), or a degraded snapshot
-    offered to a spilling run. *)
+    symmetry setting, a reduced sequential snapshot (carrying sleep-set
+    state) offered to a parallel run or a spilling run, or a spill-store
+    snapshot resumed without its [spill_dir] (or with a corrupted
+    store). *)
 
 val por_min_instrs_default : int
 (** Programs with fewer instructions than this skip the reduction
@@ -176,9 +170,9 @@ val spill_threshold_default : int
     (Unrelated to the spill {e store}; see {!spill_flush_default}.) *)
 
 val spill_flush_default : int
-(** Default hot-tier key cap of the spill store ([rcfg.spill_threshold]):
-    the RAM tier flushes to an immutable on-disk run at this size even
-    without a memory budget. *)
+(** Hot-tier key cap of the spill store: the RAM tier flushes to an
+    immutable on-disk run at this size even before the memory budget is
+    crossed. *)
 
 module Make (M : Machine_sig.MACHINE) : sig
   val run :
@@ -215,14 +209,14 @@ module Make (M : Machine_sig.MACHINE) : sig
       what actually ran).  Pass [~adaptive:false] to force the parallel
       engine at exactly [domains].
 
-      With [rcfg]: the budget is checked between expansions and the sweep
-      drains cleanly to [Partial] (with a final snapshot handed to the
-      sink) instead of being killed mid-sweep; under memory pressure the
-      sequential engine degrades the visited set to a Bloom filter and
-      keeps going (disabling reduction from that point, loudly).
-      Snapshots record the reduction setting and any sleep-set state; a
-      resume must use the same [reduce] setting, and snapshots from
-      reduced sequential runs can only resume on the sequential engine.
+      With [rcfg]: the budget is checked between expansions.  At the
+      deadline the sweep drains cleanly to [Partial] (with a final
+      snapshot handed to the sink) instead of being killed mid-sweep;
+      at the memory budget both engines flush the spill store's hot tier
+      to disk and keep going, exactly.  Snapshots record the reduction
+      setting and any sleep-set state; a resume must use the same
+      [reduce] setting, and snapshots from reduced sequential runs can
+      only resume on the sequential engine.
       @raise Invalid_argument on [domains < 1], negative [fuel], or a
         non-positive [checkpoint_every]
       @raise Resume_rejected if [rcfg.resume] fails validation *)

@@ -1,13 +1,13 @@
 (* Bit-set Bloom filter with double hashing: probe i lands on
    h1 + i*(h2|1), all modulo the (power-of-two) size. *)
 
-type t = { bits : int; data : Bytes.t; mutable ones : int }
+type t = { bits : int; data : Bytes.t }
 
 let rec pow2_at_least n v = if v >= n then v else pow2_at_least n (v * 2)
 
 let create ~bits =
   let bits = pow2_at_least (max bits 4096) 4096 in
-  { bits; data = Bytes.make (bits / 8) '\000'; ones = 0 }
+  { bits; data = Bytes.make (bits / 8) '\000' }
 
 let probes = 4
 
@@ -21,7 +21,6 @@ let add_mem t h1 h2 =
     let b = Char.code (Bytes.get t.data byte) in
     if b land (1 lsl off) = 0 then begin
       all_set := false;
-      t.ones <- t.ones + 1;
       Bytes.set t.data byte (Char.chr (b lor (1 lsl off)))
     end
   done;
@@ -39,26 +38,3 @@ let mem t h1 h2 =
       else probe (i + 1)
   in
   probe 0
-
-let bits t = t.bits
-let ones t = t.ones
-
-type state = { s_bits : int; s_data : Bytes.t }
-
-let export t = { s_bits = t.bits; s_data = Bytes.copy t.data }
-
-let import s =
-  if s.s_bits < 8 || s.s_bits land (s.s_bits - 1) <> 0 then
-    invalid_arg "Bloom.import: bit count is not a power of two";
-  if Bytes.length s.s_data <> s.s_bits / 8 then
-    invalid_arg "Bloom.import: data length does not match bit count";
-  let ones = ref 0 in
-  Bytes.iter
-    (fun c ->
-      let b = ref (Char.code c) in
-      while !b <> 0 do
-        ones := !ones + (!b land 1);
-        b := !b lsr 1
-      done)
-    s.s_data;
-  { bits = s.s_bits; data = Bytes.copy s.s_data; ones = !ones }

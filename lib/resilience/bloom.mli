@@ -1,13 +1,10 @@
-(** A Bloom filter over pre-hashed keys: the degraded visited set the
-    exploration engine falls back to under memory pressure.
+(** A Bloom filter over pre-hashed keys: the spill store's per-run
+    negative front-filter.
 
-    The filter answers "possibly seen" / "definitely new".  Used as a
-    transposition table this is {e sound for verdicts by construction}: a
-    false-positive "seen" can only prune a branch, and pruning only ever
-    shrinks the computed outcome set — so any violation found under
-    degradation is real, while completeness claims must be (and are)
-    dropped to [Partial].  A membership bit costs one byte budget what a
-    stored key costs in the hundreds. *)
+    The filter answers "possibly seen" / "definitely new".  The spill
+    store only trusts the "definitely new" answer: a "possibly seen"
+    always falls through to an exact lookup in the run file, so a false
+    positive costs a block read, never a wrong membership answer. *)
 
 type t
 
@@ -24,23 +21,4 @@ val add_mem : t -> int -> int -> bool
 val mem : t -> int -> int -> bool
 (** [mem t h1 h2] is [true] iff the key with hashes [h1], [h2] was
     {e possibly} inserted before — the pure membership probe ({!add_mem}
-    without the insertion), used as the spill store's negative
-    front-filter. *)
-
-val bits : t -> int
-(** The filter size in bits. *)
-
-val ones : t -> int
-(** Set bits — the saturation telemetry ([ones]/[bits] near 1 means the
-    filter is blind and nearly everything looks "seen"). *)
-
-type state = { s_bits : int; s_data : Bytes.t }
-(** The marshal-friendly image of a filter, carried inside degraded-mode
-    checkpoints. *)
-
-val export : t -> state
-(** A snapshot copy of the filter (safe to marshal and keep). *)
-
-val import : state -> t
-(** Rebuild a filter from {!export}'s image.
-    @raise Invalid_argument if the image is inconsistent. *)
+    without the insertion). *)

@@ -1,7 +1,7 @@
 (* A tiered exact visited store: a hot in-RAM set of key strings in front
-   of immutable sorted runs on disk.  The replacement for the lossy
-   Bloom-degradation path — memory pressure now means "flush the hot tier
-   to a new run and keep going", and the store stays exact, so the sweep
+   of immutable sorted runs on disk.  It is how the exploration engine
+   honours a memory budget: memory pressure means "flush the hot tier to
+   a new run and keep going", and the store stays exact, so the sweep
    stays Complete.
 
    Keys are opaque byte strings (the engine marshals its canonical keys
@@ -435,6 +435,15 @@ let import ~dir ~threshold s =
     probes = 0;
     bloom_skips = 0;
   }
+
+let remove_dir dir =
+  (match Sys.readdir dir with
+  | files ->
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        files
+  | exception Sys_error _ -> ());
+  try Unix.rmdir dir with Unix.Unix_error _ -> ()
 
 let close t =
   with_lock t @@ fun () ->

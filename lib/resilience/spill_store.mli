@@ -2,10 +2,10 @@
     prefix-compressed, CRC-checked sorted runs on disk, with a per-run
     Bloom front-filter for cheap negative probes.
 
-    The store replaces the lossy Bloom-degradation path of the
-    exploration engine: crossing the memory budget flushes the hot tier
-    to a new run instead of forgetting anything, so membership answers
-    stay {e exact} and a sweep under memory pressure stays [Complete].
+    The store is how the exploration engine honours a memory budget:
+    crossing it flushes the hot tier to a new run instead of forgetting
+    anything, so membership answers stay {e exact} and a sweep under
+    memory pressure stays [Complete].
     (The Bloom filters here only short-circuit negatives — a "maybe"
     always falls through to the CRC-checked block read.)
 
@@ -75,3 +75,9 @@ val import : dir:string -> threshold:int -> state -> t
 
 val close : t -> unit
 (** Close any channels held open on run files (the files stay). *)
+
+val remove_dir : string -> unit
+(** [remove_dir dir] deletes the files in [dir] (run files and any temp
+    file an interrupted write left) and then [dir] itself.  A directory
+    that is already gone is not an error.  For stores in a private
+    directory, after {!close}. *)

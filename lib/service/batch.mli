@@ -43,8 +43,8 @@ type cfg = {
   spill_dir : string option;
       (** visited-set spill area: each worker spills into its own
           [jobN] subdirectory (created on demand, removed after the
-          attempt), so memory-budgeted jobs stay complete instead of
-          degrading *)
+          attempt).  Without it, memory-budgeted jobs spill into a
+          private temporary directory; they stay complete either way *)
   mem_budget : int option;  (** per-job visited-set byte budget *)
   log : string -> unit;  (** supervisor event log (CLI: stderr) *)
   verbose : bool;  (** log per-attempt worker lifecycle events *)

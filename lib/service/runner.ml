@@ -221,7 +221,7 @@ let record_trailer ~cached ~attempts ~ms =
 
 let verdict_record j (v : Verdict_cache.verdict) ~cached ~attempts ~ms =
   Printf.sprintf
-    "%s,\"status\":\"ok\",\"outcomes\":%d,\"appears_sc\":%b,\"obeys_model\":%b,\"violation\":%b,\"exists\":%s,\"states\":%d,\"complete\":%b,\"degraded\":%s,\"spilled_runs\":%d%s"
+    "%s,\"status\":\"ok\",\"outcomes\":%d,\"appears_sc\":%b,\"obeys_model\":%b,\"violation\":%b,\"exists\":%s,\"states\":%d,\"complete\":%b,\"spilled_runs\":%d%s"
     (record_prefix j)
     (List.length v.Verdict_cache.v_outcomes)
     v.Verdict_cache.v_appears_sc v.Verdict_cache.v_obeys_model
@@ -231,9 +231,6 @@ let verdict_record j (v : Verdict_cache.verdict) ~cached ~attempts ~ms =
     | Some false -> "false"
     | None -> "null")
     v.Verdict_cache.v_states v.Verdict_cache.v_complete
-    (match v.Verdict_cache.v_degraded with
-    | Some n -> string_of_int n
-    | None -> "null")
     v.Verdict_cache.v_spilled_runs
     (record_trailer ~cached ~attempts ~ms)
 

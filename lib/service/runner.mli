@@ -131,7 +131,7 @@ val verdict_record :
   Job.t -> Verdict_cache.verdict -> cached:bool -> attempts:int -> ms:float -> string
 (** [verdict_record j v ~cached ~attempts ~ms] renders a completed
     job's verdict as one JSONL line ([status:"ok"]), including the
-    engine telemetry fields [degraded] and [spilled_runs]. *)
+    engine telemetry field [spilled_runs]. *)
 
 val quarantine_record :
   Job.t -> reason:string -> stderr:string -> attempts:int -> ms:float -> string

@@ -22,16 +22,16 @@ type verdict = {
   v_violation : bool;
   v_states : int;
   v_complete : bool;
-  v_degraded : int option;
   v_spilled_runs : int;
 }
 
 (* Bump on any change that can alter a verdict for the same program
    text: machine semantics, the SC enumeration, the generator mapping,
    or the [verdict] record shape (the payload is marshalled).
-   wovc2: symmetry reduction in the engines; v_degraded/v_spilled_runs
-   added to the record. *)
-let engine_version = "wovc2"
+   wovc2: symmetry reduction in the engines; the degradation point and
+   v_spilled_runs added to the record.  wovc3: the degradation point
+   removed again (a memory budget always spills). *)
+let engine_version = "wovc3"
 
 let magic = "WOVC "
 

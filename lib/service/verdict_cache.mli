@@ -28,12 +28,9 @@ type verdict = {
   v_violation : bool;  (** [v_obeys_model] and not [v_appears_sc] *)
   v_states : int;  (** machine states expanded when first computed *)
   v_complete : bool;  (** the machine sweep was exhaustive *)
-  v_degraded : int option;
-      (** the sweep degraded to a Bloom visited set after this many
-          expansions ([None]: it never did) *)
   v_spilled_runs : int;
       (** visited-set runs the sweep spilled to disk ([0] without a
-          spill directory) *)
+          memory budget) *)
 }
 
 val engine_version : string

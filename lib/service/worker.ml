@@ -58,6 +58,5 @@ let run ?cancel ?fuel ?spill_dir ?mem_budget ~model ~machine prog =
           v_violation = obeys_model && not appears_sc;
           v_states = r.Explore.stats.Explore.states_expanded;
           v_complete = complete;
-          v_degraded = r.Explore.stats.Explore.degraded_at;
           v_spilled_runs = r.Explore.stats.Explore.spilled_runs;
         }

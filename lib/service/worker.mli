@@ -37,8 +37,7 @@ val run :
     [v_complete = false] and a positive violation is still real, but a
     clean result is only "no violation found within fuel".
 
-    [mem_budget] bounds the visited set: without [spill_dir] the sweep
-    degrades to a Bloom filter when crossed ([v_degraded] records where,
-    [v_complete] goes false); with [spill_dir] (a directory private to
-    this job) it spills to disk instead and stays complete
-    ([v_spilled_runs] counts the runs). *)
+    [mem_budget] bounds the visited set: when crossed the sweep spills
+    to disk and stays complete ([v_spilled_runs] counts the runs), into
+    [spill_dir] (a directory private to this job) or, without it, a
+    private temporary directory deleted when the sweep ends. *)

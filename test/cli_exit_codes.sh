@@ -191,11 +191,31 @@ for sub in batch serve; do
     echo "FAIL: $sub --help does not document the spilled_runs field" >&2
     fails=$((fails + 1))
   fi
-  if ! "$WEAKORD" "$sub" --help=plain 2>/dev/null | grep -q 'degraded'; then
-    echo "FAIL: $sub --help does not document the degraded field" >&2
-    fails=$((fails + 1))
-  fi
 done
+
+# a memory budget without --spill-dir spills into a private temporary
+# directory: exit 0, runs spilled, coverage exhaustive, nothing left in
+# $TMPDIR afterwards
+mkdir -p "$tmp/tmpdir"
+TMPDIR="$tmp/tmpdir" "$WEAKORD" verify --mem-budget 4096 -v \
+  "$LITMUS_DIR/sb.litmus" > "$tmp/membudget.out" 2>/dev/null
+code=$?
+if [ "$code" -ne 0 ]; then
+  echo "FAIL: verify --mem-budget without --spill-dir: expected exit 0, got $code" >&2
+  fails=$((fails + 1))
+fi
+if ! grep -q 'spilled-runs=' "$tmp/membudget.out"; then
+  echo "FAIL: verify --mem-budget without --spill-dir spilled no runs" >&2
+  fails=$((fails + 1))
+fi
+if grep -q 'bounded' "$tmp/membudget.out"; then
+  echo "FAIL: verify --mem-budget without --spill-dir reported bounded coverage" >&2
+  fails=$((fails + 1))
+fi
+if [ -n "$(ls -A "$tmp/tmpdir")" ]; then
+  echo "FAIL: verify --mem-budget left files in \$TMPDIR" >&2
+  fails=$((fails + 1))
+fi
 if ! "$WEAKORD" batch --help=plain 2>/dev/null | grep -q 'sym_dedup'; then
   echo "FAIL: batch --help does not explain the sym_dedup counter" >&2
   fails=$((fails + 1))

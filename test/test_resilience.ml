@@ -1,9 +1,10 @@
 (* The resilience layer: CRC-framed snapshots, atomic installs, budgets,
-   checkpoint/resume of the exploration engine, and Bloom-filter
-   degradation.  The contract under test everywhere: a resumed run reaches
-   exactly the state an uninterrupted one does, corrupted or mismatched
-   checkpoints are rejected loudly, and degraded coverage is sound (never
-   reported complete, never inventing or losing outcomes on this corpus). *)
+   checkpoint/resume of the exploration engine, and the spill store that
+   honours a memory budget.  The contract under test everywhere: a
+   resumed run reaches exactly the state an uninterrupted one does,
+   corrupted or mismatched checkpoints are rejected loudly, and memory
+   pressure never costs coverage (a budgeted sweep is Complete and equal
+   to the exact one). *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -153,14 +154,9 @@ let test_bloom () =
   check "fresh add is new" false (Bloom.add_mem b 12345 6789);
   check "second add is seen" true (Bloom.add_mem b 12345 6789);
   check "other key is new" false (Bloom.add_mem b 54321 987);
-  check "ones counted" true (Bloom.ones b > 0);
-  let st = Bloom.export b in
-  let b' = Bloom.import st in
-  check "import preserves membership" true (Bloom.add_mem b' 12345 6789);
-  check_int "import recounts ones" (Bloom.ones b) (Bloom.ones b');
-  match Bloom.import { st with Bloom.s_bits = 12345 } with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "non-power-of-two import accepted"
+  check "mem sees an added key" true (Bloom.mem b 54321 987);
+  check "mem does not insert" false (Bloom.mem b 1 3);
+  check "absent key still new" false (Bloom.add_mem b 1 3)
 
 (* --- budgets ----------------------------------------------------------------- *)
 
@@ -286,87 +282,50 @@ let test_explore_resume_rejects_mismatch () =
   | exception Explore.Resume_rejected _ -> ()
   | _ -> Alcotest.fail "corrupted snapshot accepted"
 
-(* --- explore: graceful degradation ------------------------------------------ *)
+(* --- spill store: a memory budget spills ------------------------------------- *)
+
+let tmp_dir () = Filename.temp_dir "weakord_spill" ""
+
+(* Run [f] with the temporary directory pointed at a fresh one, which
+   must be empty again afterwards: a private spill directory never
+   outlives its sweep. *)
+let with_fresh_temp_dir label f =
+  let saved = Filename.get_temp_dir_name () in
+  let fresh = tmp_dir () in
+  Filename.set_temp_dir_name fresh;
+  let r =
+    Fun.protect ~finally:(fun () -> Filename.set_temp_dir_name saved) f
+  in
+  check (label ^ ": temp dir left empty") true (Sys.readdir fresh = [||]);
+  Spill_store.remove_dir fresh;
+  r
 
 (* A memory budget small enough that every corpus program crosses it
-   almost immediately, exercising the Bloom hand-off on real state
-   graphs. *)
+   almost immediately, exercising the spill on real state graphs. *)
 let tiny_mem = Budget.create ~mem_bytes:512 ()
 
-let test_degraded_never_complete_never_wrong () =
+let test_tiny_budget_spills_exactly () =
+  with_fresh_temp_dir "tiny budget" @@ fun () ->
   List.iter
     (fun m ->
       List.iter
         (fun prog ->
-          let exact = Machines.explore m prog in
-          let exact_set = Explore.bounded_value exact.Explore.result in
+          let label what =
+            Printf.sprintf "%s/%s %s" (Machines.name m) (Prog.name prog) what
+          in
+          let exact = Machines.outcomes m prog in
           (* [~sym:false]: symmetry can finish a tiny symmetric program
-             in a handful of states, under the degradation bar this test
-             exists to cross. *)
-          let degraded, _ = explore_with ~sym:false ~budget:tiny_mem m prog in
-          (* Soundness by construction: degraded coverage must never be
-             reported complete... *)
-          check
-            (Printf.sprintf "%s/%s degraded is Partial" (Machines.name m)
-               (Prog.name prog))
-            false
-            (Explore.is_complete degraded.Explore.result);
-          check
-            (Printf.sprintf "%s/%s degradation recorded" (Machines.name m)
-               (Prog.name prog))
-            true
-            (degraded.Explore.stats.Explore.degraded_at <> None);
-          (* ...every outcome it reports must be real... *)
-          let deg_set = Explore.bounded_value degraded.Explore.result in
-          check
-            (Printf.sprintf "%s/%s degraded subset of exact" (Machines.name m)
-               (Prog.name prog))
-            true
-            (Final.Set.subset deg_set exact_set);
-          (* ...and with a generously sized filter it must not lose any
-             outcome the exact sweep finds on this corpus — in particular
-             no violation (non-SC outcome) goes unnoticed. *)
-          check
-            (Printf.sprintf "%s/%s degraded finds every exact outcome"
-               (Machines.name m) (Prog.name prog))
-            true
-            (set_eq deg_set exact_set))
+             in a handful of states, under the bar this test exists to
+             cross.  No spill dir: the budget alone must spill. *)
+          let r, _ = explore_with ~sym:false ~budget:tiny_mem m prog in
+          check (label "is Complete") true
+            (Explore.is_complete r.Explore.result);
+          check (label "runs spilled") true
+            (r.Explore.stats.Explore.spilled_runs > 0);
+          check (label "outcomes == exact") true
+            (set_eq (Explore.bounded_value r.Explore.result) exact))
         (corpus @ gen_progs))
     [ Machines.wbuf; Machines.def2 ]
-
-let test_degraded_snapshot_resumes_sequentially () =
-  let m = Machines.def2 and prog = prog_of "iriw" in
-  let full = Machines.outcomes m prog in
-  (* Degrade AND stop (fuel), then resume: still degraded, still sound. *)
-  let states =
-    (Machines.explore m prog).Explore.stats.Explore.states_expanded
-  in
-  let stopped, snap =
-    explore_with ~budget:tiny_mem ~fuel:(max 1 (states / 2)) m prog
-  in
-  check "degraded run stopped on fuel" true
-    (stopped.Explore.stop = Some Explore.Fuel_exhausted);
-  let snap = Option.get snap in
-  let resumed, _ = explore_with ~resume:snap ~budget:tiny_mem m prog in
-  check "degraded resume still Partial" false
-    (Explore.is_complete resumed.Explore.result);
-  check "degraded resume finds everything" true
-    (set_eq (Explore.bounded_value resumed.Explore.result) full);
-  (* The parallel engine cannot adopt a Bloom visited set: rejected, not
-     silently wrong.  [~adaptive:false] forces the genuinely parallel
-     path — with the adaptive fallback this machine would (soundly) drop
-     to the sequential engine on a single-core host and accept it. *)
-  match explore_with ~resume:snap ~domains:4 ~adaptive:false m prog with
-  | exception Explore.Resume_rejected _ -> ()
-  | _ -> Alcotest.fail "parallel engine accepted a degraded snapshot"
-
-(* --- spill store: spill instead of degrading --------------------------------- *)
-
-let tmp_dir () =
-  let d = Filename.temp_file "weakord_spill" "" in
-  Sys.remove d;
-  Unix.mkdir d 0o700;
-  d
 
 let test_spill_store_unit () =
   let dir = tmp_dir () in
@@ -412,49 +371,60 @@ let test_spill_store_unit () =
   | t ->
       Spill_store.close t;
       Alcotest.fail "corrupted run file accepted");
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Unix.rmdir dir
+  Spill_store.remove_dir dir
 
 let test_spill_stays_complete () =
-  (* The same memory pressure that degrades the Bloom path to [Partial]
-     spills to disk and stays [Complete] — same outcomes as the exact
-     sweep, nonzero run files, no degradation event. *)
+  (* Memory pressure spills to disk and stays [Complete], with or
+     without a spill directory: same outcomes as the exact sweep and
+     nonzero run files. *)
   List.iter
-    (fun (mname, tname) ->
+    (fun ((mname, tname), spill_dir) ->
       let m = Option.get (Machines.find mname) in
       let prog = prog_of tname in
+      let label what =
+        Printf.sprintf "%s/%s (%s) %s" mname tname
+          (if spill_dir = None then "private dir" else "--spill-dir")
+          what
+      in
       let exact = Machines.outcomes m prog in
-      let dir = tmp_dir () in
-      let r, _ =
-        explore_with ~sym:false ~spill_dir:dir
+      let run () =
+        explore_with ~sym:false ?spill_dir
           ~budget:(Budget.create ~mem_bytes:512 ())
           m prog
       in
-      check
-        (Printf.sprintf "%s/%s spilling run is Complete" mname tname)
-        true
+      let r, _ =
+        if spill_dir = None then with_fresh_temp_dir (label "run") run
+        else run ()
+      in
+      check (label "is Complete") true
         (Explore.is_complete r.Explore.result);
-      check
-        (Printf.sprintf "%s/%s no degradation" mname tname)
-        true
-        (r.Explore.stats.Explore.degraded_at = None);
-      check
-        (Printf.sprintf "%s/%s runs spilled" mname tname)
-        true
+      check (label "runs spilled") true
         (r.Explore.stats.Explore.spilled_runs > 0);
-      check
-        (Printf.sprintf "%s/%s keys on disk" mname tname)
-        true
+      check (label "keys on disk") true
         (r.Explore.stats.Explore.spilled_keys > 0);
-      check
-        (Printf.sprintf "%s/%s outcomes == exact" mname tname)
-        true
+      check (label "outcomes == exact") true
         (set_eq (Explore.bounded_value r.Explore.result) exact);
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Unix.rmdir dir)
-    [ ("def2", "iriw"); ("wbuf", "dekker") ]
+      Option.iter Spill_store.remove_dir spill_dir)
+    (List.concat_map
+       (fun p -> [ (p, Some (tmp_dir ())); (p, None) ])
+       [ ("def2", "iriw"); ("wbuf", "dekker") ])
+
+let test_parallel_budget_spills () =
+  (* The parallel engine honours a memory budget the same way: with no
+     spill directory it spills into a private one and stays [Complete]
+     rather than stopping. *)
+  let m = Machines.def2 and prog = prog_of "iriw" in
+  with_fresh_temp_dir "parallel" @@ fun () ->
+  let r, _ =
+    explore_with ~sym:false ~domains:2 ~adaptive:false ~budget:tiny_mem m prog
+  in
+  check "parallel budgeted run not stopped" true (r.Explore.stop = None);
+  check "parallel budgeted run is Complete" true
+    (Explore.is_complete r.Explore.result);
+  check "parallel budgeted run spilled" true
+    (r.Explore.stats.Explore.spilled_runs > 0);
+  check "parallel budgeted outcomes == exact" true
+    (set_eq (Explore.bounded_value r.Explore.result) (Machines.outcomes m prog))
 
 let test_spill_snapshot_resume () =
   let m = Machines.def2 and prog = prog_of "iriw" in
@@ -493,11 +463,7 @@ let test_spill_snapshot_resume () =
   (match explore_with ~sym:false ~resume:snap m prog with
   | exception Explore.Resume_rejected _ -> ()
   | _ -> Alcotest.fail "spill snapshot resumed without its spill dir");
-  List.iter
-    (fun d ->
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-      Unix.rmdir d)
-    [ dir; dir2 ]
+  List.iter Spill_store.remove_dir [ dir; dir2 ]
 
 (* --- explore: snapshot/resume with reduction enabled ------------------------- *)
 
@@ -591,7 +557,7 @@ let test_obs_events () =
         if String.equal e.Obs.cat "explore" then Some e.Obs.name else None)
       (Obs.events obs)
   in
-  check "degrade event recorded" true (List.mem "degrade" names);
+  check "spill event recorded" true (List.mem "spill" names);
   check "checkpoint event recorded" true (List.mem "checkpoint" names)
 
 (* --- budgeted SC ------------------------------------------------------------- *)
@@ -683,25 +649,103 @@ let verify_suspend_resume machine =
 let test_verify_machine_suspend_resume () =
   List.iter verify_suspend_resume [ Machines.def2; Machines.sc ]
 
-let test_verify_machine_degraded_is_bounded () =
+let test_verify_machine_mem_budget_is_exhaustive () =
   let machine = Machines.def2 and model = Weak_ordering.drf0 in
   let small_corpus =
     List.filter (fun p -> List.mem (Prog.name p) [ "dekker"; "mp" ]) corpus
   in
+  let exact = Weak_ordering.verify_machine ~machine ~model small_corpus in
   let r =
     Weak_ordering.verify_machine ~budget:(Budget.create ~mem_bytes:512 ())
       ~machine ~model small_corpus
   in
   check "campaign completes" true (r.Weak_ordering.suspended = None);
-  List.iter
-    (fun v ->
-      check
-        (Printf.sprintf "%s bounded coverage" (Prog.name v.Weak_ordering.program))
-        false
-        (v.Weak_ordering.coverage = Weak_ordering.Exhaustive))
+  List.iter2
+    (fun e v ->
+      let name = Prog.name v.Weak_ordering.program in
+      check (name ^ " exhaustive coverage") true
+        (v.Weak_ordering.coverage = Weak_ordering.Exhaustive);
+      check (name ^ " spilled") true (v.Weak_ordering.spilled_runs > 0);
+      check (name ^ " verdict == unbudgeted") true
+        (v.Weak_ordering.ok = e.Weak_ordering.ok
+        && v.Weak_ordering.sc_appearance = e.Weak_ordering.sc_appearance))
+    exact.Weak_ordering.report.Weak_ordering.verdicts
     r.Weak_ordering.report.Weak_ordering.verdicts;
-  check "report not exhaustive" false
+  check "report exhaustive" true
     (Weak_ordering.report_exhaustive r.Weak_ordering.report)
+
+(* Under a checkpoint a memory budget spills next to it: a suspended
+   campaign resumes from the runs in [CHECKPOINT.spill] and ends equal to
+   an uninterrupted budgeted run. *)
+let test_verify_machine_spill_beside_checkpoint () =
+  let machine = Machines.def2 and model = Weak_ordering.drf0 in
+  let small_corpus =
+    List.filter (fun p -> List.mem (Prog.name p) [ "dekker"; "iriw" ]) corpus
+  in
+  let mem_only () = Budget.create ~mem_bytes:512 () in
+  let summary r =
+    List.map
+      (fun v ->
+        ( (v.Weak_ordering.ok, v.Weak_ordering.sc_appearance),
+          (v.Weak_ordering.states, v.Weak_ordering.spilled_runs) ))
+      r.Weak_ordering.report.Weak_ordering.verdicts
+  in
+  let verdicts = Alcotest.(list (pair (pair bool bool) (pair int int))) in
+  let uninterrupted =
+    Weak_ordering.verify_machine ~budget:(mem_only ()) ~machine ~model
+      small_corpus
+  in
+  let path = tmp_path ".ckpt" in
+  let spill = path ^ ".spill" in
+  let cleanup () =
+    List.iter
+      (fun p -> try Sys.remove p with Sys_error _ -> ())
+      [ path; Snapshot.prev_path path ];
+    Spill_store.remove_dir spill
+  in
+  (* Deadline 0: suspends before the first program is expanded. *)
+  let b0 = Budget.create ~deadline_s:0. ~mem_bytes:512 () in
+  Unix.sleepf 0.002;
+  let r0 =
+    Weak_ordering.verify_machine ~budget:b0 ~checkpoint:path ~machine ~model
+      small_corpus
+  in
+  check "deadline suspends" true
+    (r0.Weak_ordering.suspended = Some Explore.Deadline_exceeded);
+  check "spill dir beside the checkpoint" true (Sys.is_directory spill);
+  let r1 =
+    Weak_ordering.verify_machine ~budget:(mem_only ()) ~resume:path
+      ~checkpoint:path ~machine ~model small_corpus
+  in
+  check "resumed run completes" true (r1.Weak_ordering.suspended = None);
+  Alcotest.check verdicts "deadline resume == uninterrupted"
+    (summary uninterrupted) (summary r1);
+  cleanup ();
+  (* Fuel: suspends mid-program with runs already on disk; the resume
+     must re-open exactly those runs. *)
+  let iriw_states =
+    match summary uninterrupted with
+    | [ _; (_, (n, _)) ] -> n
+    | _ -> Alcotest.fail "unexpected corpus"
+  in
+  let r2 =
+    Weak_ordering.verify_machine ~budget:(mem_only ())
+      ~fuel:(iriw_states / 2) ~checkpoint:path ~machine ~model small_corpus
+  in
+  check "fuel suspends" true
+    (r2.Weak_ordering.suspended = Some Explore.Fuel_exhausted);
+  check "runs on disk at the stop" true
+    (Array.exists
+       (fun f -> Filename.check_suffix f ".spill")
+       (Sys.readdir spill));
+  let r3 =
+    Weak_ordering.verify_machine ~budget:(mem_only ()) ~resume:path
+      ~checkpoint:path ~machine ~model small_corpus
+  in
+  check "fuel-resumed run completes" true (r3.Weak_ordering.suspended = None);
+  Alcotest.check verdicts "fuel resume == uninterrupted"
+    (summary uninterrupted) (summary r3);
+  cleanup ()
 
 (* --- sim: the watchdog hook ------------------------------------------------- *)
 
@@ -738,13 +782,13 @@ let suite =
         test_explore_deadline_stop;
       Alcotest.test_case "explore resume rejects mismatch" `Quick
         test_explore_resume_rejects_mismatch;
-      Alcotest.test_case "degraded never Complete, never wrong" `Quick
-        test_degraded_never_complete_never_wrong;
-      Alcotest.test_case "degraded snapshot resumes sequentially" `Quick
-        test_degraded_snapshot_resumes_sequentially;
+      Alcotest.test_case "tiny budget spills exactly" `Quick
+        test_tiny_budget_spills_exactly;
       Alcotest.test_case "spill store unit" `Quick test_spill_store_unit;
       Alcotest.test_case "spill stays Complete under memory pressure" `Quick
         test_spill_stays_complete;
+      Alcotest.test_case "parallel budget spills" `Quick
+        test_parallel_budget_spills;
       Alcotest.test_case "spill snapshot resume" `Quick
         test_spill_snapshot_resume;
       Alcotest.test_case "reduced snapshot resume" `Quick
@@ -755,7 +799,9 @@ let suite =
       Alcotest.test_case "budgeted SC enumeration" `Quick test_sc_within_budget;
       Alcotest.test_case "verify_machine suspend/resume" `Quick
         test_verify_machine_suspend_resume;
-      Alcotest.test_case "verify_machine degraded coverage" `Quick
-        test_verify_machine_degraded_is_bounded;
+      Alcotest.test_case "verify_machine mem budget" `Quick
+        test_verify_machine_mem_budget_is_exhaustive;
+      Alcotest.test_case "verify_machine spills beside checkpoint" `Quick
+        test_verify_machine_spill_beside_checkpoint;
       Alcotest.test_case "watchdog on_wedged hook" `Quick test_on_wedged_hook;
     ] )

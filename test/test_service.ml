@@ -92,7 +92,6 @@ let sample_verdict =
     v_violation = false;
     v_states = 42;
     v_complete = true;
-    v_degraded = None;
     v_spilled_runs = 0;
   }
 
