@@ -6,7 +6,9 @@
    CRC-framed result file (atomic install), and [Unix._exit]s — it never
    touches the parent's channels, cache, or checkpoint.  All parent-side
    state transitions happen in one thread, in the reap/dispatch loop, so
-   there is no locking anywhere.
+   there is no locking anywhere.  The loop sleeps until a worker's exit
+   channel reaches EOF ([Runner.fork_watched]), a drain signal arrives,
+   or the next deadline falls due.
 
    The failure matrix the loop implements:
 
@@ -188,7 +190,7 @@ let materialize model (j : Job.t) =
 
 type running = {
   r_js : jstate;
-  r_pid : int;
+  r_child : Runner.child;
   r_started : float;
   r_result : string;
   r_stderr : string;
@@ -240,14 +242,18 @@ let run cfg jobs =
         else Some (materialize cfg.model j))
       jobs
   in
+  (* Every unfinished job's state, by id: the checkpoint reads attempt
+     counters here wherever the job is queued or running. *)
+  let by_id = Hashtbl.create 1024 in
+  List.iter (fun js -> Hashtbl.replace by_id js.job.Job.id js) states;
   (match resumed with
   | Some ck ->
       List.iter
-        (fun js ->
-          match List.assoc_opt js.job.Job.id ck.c_attempts with
-          | Some a -> js.attempts <- a
+        (fun (id, a) ->
+          match Hashtbl.find_opt by_id id with
+          | Some js -> js.attempts <- a
           | None -> ())
-        states
+        ck.c_attempts
   | None -> ());
   (* Output stream: append mode, so an interrupted run's file plus its
      resume's file concatenate into the full result set. *)
@@ -275,17 +281,12 @@ let run cfg jobs =
   in
   let result_path id = Filename.concat scratch (Printf.sprintf "job%d.result" id) in
   let stderr_path id = Filename.concat scratch (Printf.sprintf "job%d.stderr" id) in
-  (* Drain signal: first SIGTERM/SIGINT flips the flag; the loop does
-     the rest at a safe point.  Handlers are restored before we return
-     (the in-process test harness runs many batches per process). *)
+  (* Drain signal: first SIGTERM/SIGINT flips the flag and wakes the
+     loop, which does the rest at a safe point.  Handlers are restored
+     before we return (the in-process test harness runs many batches
+     per process). *)
   let drain = ref false in
-  let install s = Sys.signal s (Sys.Signal_handle (fun _ -> drain := true)) in
-  let old_term = install Sys.sigterm in
-  let old_int = install Sys.sigint in
-  let restore () =
-    Sys.set_signal Sys.sigterm old_term;
-    Sys.set_signal Sys.sigint old_int
-  in
+  let wake = Runner.wake_on_drain drain in
   (* Mutable tallies; prior-run numbers fold in so exit codes reflect
      the whole batch, not just the post-resume tail. *)
   let completed = ref 0 and ok = ref 0 and violations = ref 0 in
@@ -298,6 +299,7 @@ let run cfg jobs =
     | None -> (0, 0, 0)
   in
   let ready : jstate Queue.t = Queue.create () in
+  (* Backing-off jobs, newest first. *)
   let delayed : jstate list ref = ref [] in
   List.iter (fun js -> Queue.add js ready) states;
   let running : running list ref = ref [] in
@@ -315,15 +317,9 @@ let run cfg jobs =
               jobs
           in
           let attempts_of id =
-            let find l = List.find_opt (fun js -> js.job.Job.id = id) l in
-            match
-              ( find (List.of_seq (Queue.to_seq ready)),
-                find !delayed,
-                List.find_opt (fun r -> r.r_js.job.Job.id = id) !running )
-            with
-            | Some js, _, _ | _, Some js, _ -> js.attempts
-            | _, _, Some r -> r.r_js.attempts
-            | _ -> 0
+            match Hashtbl.find_opt by_id id with
+            | Some js -> js.attempts
+            | None -> 0
           in
           let pc, pv, pq = prior in
           write_ckpt path
@@ -375,7 +371,7 @@ let run cfg jobs =
         q_stderr = js.last_stderr;
       }
     in
-    quarantined := !quarantined @ [ q ];
+    quarantined := q :: !quarantined;
     cfg.log
       (Printf.sprintf "QUARANTINED %s after %d attempt(s): %s"
          (Job.label js.job) js.attempts js.last_reason);
@@ -388,7 +384,7 @@ let run cfg jobs =
         ~job_id:js.job.Job.id
     in
     js.eligible_at <- Unix.gettimeofday () +. (float_of_int delay /. 1000.);
-    delayed := !delayed @ [ js ];
+    delayed := js :: !delayed;
     if cfg.verbose then
       cfg.log
         (Printf.sprintf "retrying %s in %d ms (attempt %d/%d: %s)"
@@ -427,7 +423,8 @@ let run cfg jobs =
           (Printf.sprintf "worker killed by %s" (Runner.signal_name s))
     | Unix.WSTOPPED _ ->
         (* Not requested (no WUNTRACED); treat defensively. *)
-        (try Unix.kill r.r_pid Sys.sigkill with Unix.Unix_error _ -> ());
+        (try Unix.kill r.r_child.Runner.pid Sys.sigkill
+         with Unix.Unix_error _ -> ());
         attempt_failed r "worker stopped unexpectedly"
   in
   let exec =
@@ -441,18 +438,18 @@ let run cfg jobs =
   let spawn js =
     let rp = result_path js.job.Job.id and sp = stderr_path js.job.Job.id in
     flush out_ch;
-    let pid =
+    let child =
       Runner.spawn exec ~result_path:rp ~stderr_path:sp js.job
         { Runner.m_prog = js.prog; m_error = js.mat_error }
     in
     if cfg.verbose then
       cfg.log
-        (Printf.sprintf "worker %d started %s (attempt %d/%d)" pid
-           (Job.label js.job) (js.attempts + 1) cfg.retries);
+        (Printf.sprintf "worker %d started %s (attempt %d/%d)"
+           child.Runner.pid (Job.label js.job) (js.attempts + 1) cfg.retries);
     running :=
       {
         r_js = js;
-        r_pid = pid;
+        r_child = child;
         r_started = Unix.gettimeofday ();
         r_result = rp;
         r_stderr = sp;
@@ -464,7 +461,7 @@ let run cfg jobs =
   let deadline_at = Option.map (fun d -> t0 +. d) cfg.deadline_s in
   let drain_announced = ref false in
   let finally () =
-    restore ();
+    Runner.restore wake;
     close_out_ch ();
     (* Best-effort scratch cleanup; captured stderr of quarantined jobs
        already lives in their records. *)
@@ -475,6 +472,23 @@ let run cfg jobs =
           files;
         (try Unix.rmdir scratch with Unix.Unix_error _ -> ())
     | exception Sys_error _ -> ())
+  in
+  (* The loop never polls: it sleeps in [Runner.sleep_until] until a
+     worker's exit channel reaches EOF, a drain signal arrives, or the
+     earliest deadline falls due — a running worker's timeout, a
+     delayed job's backoff expiry, or the batch deadline. *)
+  let next_deadline () =
+    let t =
+      List.fold_left
+        (fun t r ->
+          if r.r_timed_out then t
+          else Float.min t (r.r_started +. cfg.timeout_s))
+        infinity !running
+    in
+    let t = List.fold_left (fun t js -> Float.min t js.eligible_at) t !delayed in
+    match deadline_at with
+    | Some d when not !drain -> Float.min t d
+    | _ -> t
   in
   (try
      let continue () =
@@ -504,48 +518,33 @@ let run cfg jobs =
            (fun r ->
              if not r.r_term_sent then begin
                r.r_term_sent <- true;
-               try Unix.kill r.r_pid Sys.sigterm
+               try Unix.kill r.r_child.Runner.pid Sys.sigterm
                with Unix.Unix_error _ -> ()
              end)
            !running
        end;
-       (* Timeouts: SIGKILL, then let the reaper classify it. *)
+       (* Timeouts: SIGKILL, then let the exit channel report it. *)
        List.iter
          (fun r ->
            if (not r.r_timed_out) && now -. r.r_started > cfg.timeout_s
            then begin
              r.r_timed_out <- true;
-             try Unix.kill r.r_pid Sys.sigkill
+             try Unix.kill r.r_child.Runner.pid Sys.sigkill
              with Unix.Unix_error _ -> ()
            end)
          !running;
-       (* Reap. *)
-       let progressed = ref false in
-       let still = ref [] in
-       List.iter
-         (fun r ->
-           match Unix.waitpid [ Unix.WNOHANG ] r.r_pid with
-           | 0, _ -> still := r :: !still
-           | _, status ->
-               progressed := true;
-               handle_exit r status
-           | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-               still := r :: !still)
-         !running;
-       running := !still;
-       (* Promote delayed jobs whose backoff expired. *)
+       (* Promote delayed jobs whose backoff expired, oldest first. *)
        let due, later =
          List.partition (fun js -> js.eligible_at <= now) !delayed
        in
        delayed := later;
-       List.iter (fun js -> Queue.add js ready) due;
+       List.iter (fun js -> Queue.add js ready) (List.rev due);
        (* Dispatch. *)
        while
          (not !drain)
          && List.length !running < cfg.workers
          && not (Queue.is_empty ready)
        do
-         progressed := true;
          let js = Queue.pop ready in
          match js.mat_error with
          | Some e ->
@@ -571,8 +570,26 @@ let run cfg jobs =
                      | None -> spawn js))
              | None -> (* wedge: never cached *) spawn js)
        done;
-       if not !progressed then (
-         try Unix.sleepf 0.01 with Unix.Unix_error _ -> ())
+       (* Sleep until something happens, then reap the workers whose
+          exit channel reached EOF. *)
+       if continue () then begin
+         let ready_fds, _ =
+           Runner.sleep_until wake (next_deadline ())
+             (List.map (fun r -> r.r_child.Runner.fd) !running)
+             []
+         in
+         running :=
+           List.filter
+             (fun r ->
+               (not (List.mem r.r_child.Runner.fd ready_fds))
+               ||
+               match Runner.read_child r.r_child with
+               | None -> true
+               | Some status ->
+                   handle_exit r status;
+                   false)
+             !running
+       end
      done;
      save_ckpt ~force:true ()
    with e ->
@@ -589,7 +606,7 @@ let run cfg jobs =
     completed = pc + !completed;
     ok = !ok;
     violations = pv + !violations;
-    quarantined = !quarantined;
+    quarantined = List.rev !quarantined;
     quarantined_total = pq + List.length !quarantined;
     pending;
     served_from_cache = !served_from_cache;

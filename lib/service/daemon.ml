@@ -496,7 +496,12 @@ let run cfg =
   let spawn t =
     let rp = result_path t.t_id and sp = stderr_path t.t_id in
     (match out_ch with Some ch -> flush ch | None -> ());
-    let pid = Runner.spawn exec ~result_path:rp ~stderr_path:sp t.t_job t.t_mat in
+    (* The daemon still reaps on its select tick, so it drops the exit
+       channel at once. *)
+    let { Runner.pid; fd } =
+      Runner.spawn exec ~result_path:rp ~stderr_path:sp t.t_job t.t_mat
+    in
+    Unix.close fd;
     if cfg.verbose then
       cfg.log
         (Printf.sprintf "worker %d started %s (attempt %d/%d)" pid

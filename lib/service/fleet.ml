@@ -5,16 +5,18 @@
    worker per work-unit attempt (never more than [cfg.shards] in
    flight) and does no verification itself.  A shard streams its unit's
    seeds through [Fuzz.check_prog], heartbeats the seed it is about to
-   check into a per-spawn file, and ships its accumulated tallies back
-   in a CRC-framed result file; all parent-side state transitions
-   happen in one thread, in the reap/dispatch loop.
+   check into its slot of a shared mapping, and ships its accumulated
+   tallies back in a CRC-framed result file; all parent-side state
+   transitions happen in one thread, in a loop that sleeps until an exit
+   channel ([Runner.fork_watched]), the stats socket or a drain signal
+   speaks, or the next deadline falls due.
 
    The failure matrix:
 
      exit 0 + valid result, next > hi  -> unit done (emit its records)
      exit 9 + valid result             -> drained at a seed boundary:
                                           merge the partial, requeue
-     heartbeat stale > hang_timeout_s  -> SIGKILL + bisect: seeds before
+     no heartbeat for hang_timeout_s   -> SIGKILL + bisect: seeds before
                                           the suspect keep the progress,
                                           seeds after become fresh work,
                                           the suspect retries alone
@@ -189,6 +191,37 @@ let ukey u = Printf.sprintf "%d..%d" u.u_lo u.u_hi
 
 let unit_kind = "weakord.fleet.unit"
 
+(* Heartbeats live in shared memory: each shard slot is two int64 words,
+   the seed the shard is about to check and the time it started it, in
+   a mapping every shard inherits.  A beat is two stores and never wakes
+   the supervisor, which reads the slots when it wakes for something
+   else or when a conviction falls due.  (A line per seed on the exit
+   channel would wake it once per seed and preempt the shard.) *)
+type beats = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let beats_create ~dir ~slots : beats =
+  let path = Filename.concat dir "beats" in
+  let fd = Unix.openfile path [ O_RDWR; O_CREAT; O_TRUNC ] 0o600 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Bigarray.array1_of_genarray
+        (Unix.map_file fd Bigarray.int64 Bigarray.c_layout true
+           [| 2 * slots |]))
+
+(* The time is stored first.  The supervisor reads the two words
+   separately; a seed read with the previous beat's time can only make a
+   conviction look due early by the few nanoseconds the second store
+   takes to land. *)
+let beat (b : beats) slot seed =
+  b.{(2 * slot) + 1} <- Int64.bits_of_float (Unix.gettimeofday ());
+  b.{2 * slot} <- Int64.of_int seed
+
+let beat_seed (b : beats) slot = Int64.to_int b.{2 * slot}
+let beat_time (b : beats) slot = Int64.float_of_bits b.{(2 * slot) + 1}
+
 (* The oracle a shard actually runs: no quarantine writes, no shrinking,
    no logging, no deadline — all campaign policy stays in the parent. *)
 let probe_oracle oracle =
@@ -205,7 +238,8 @@ let probe_oracle oracle =
    stale heartbeat as "wedged on exactly this seed".  A wedge seed spins
    forever and ignores SIGTERM — a faithful model of a real engine hang,
    which only the watchdog's SIGKILL resolves. *)
-let shard_body ~oracle ~wedge_seeds ~result ~hb ~stderr ~frontier ~hi ~key () =
+let shard_body ~oracle ~wedge_seeds ~result ~stderr ~frontier ~hi ~key ~beat
+    () =
   let cancelled = ref false in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> cancelled := true));
   Sys.set_signal Sys.sigint Sys.Signal_ignore;
@@ -220,7 +254,7 @@ let shard_body ~oracle ~wedge_seeds ~result ~hb ~stderr ~frontier ~hi ~key () =
   let seed = ref frontier in
   while !seed <= hi do
     if !cancelled then ship !seed 9;
-    Atomic_io.write_file ~fsync:false hb (string_of_int !seed);
+    beat !seed;
     let prog = Litmus_gen.generate ~config:probe.Fuzz.config !seed in
     if wedge_fires ~wedge_seeds ~seed:!seed prog then
       while true do
@@ -349,28 +383,25 @@ let hang_reason = "wedged: heartbeat stalled past the hang budget"
    instead — no forking, full shrink budget). *)
 let hangs_in_fork ~oracle ~hang_timeout_s prog =
   let probe = probe_oracle oracle in
-  let pid =
-    Runner.fork_worker (fun () ->
+  let c =
+    Runner.fork_watched (fun () ->
         Runner.redirect_stderr "/dev/null";
         ignore (Fuzz.check_prog probe prog : Fuzz.seed_report);
         Unix._exit 0)
   in
   let deadline = Unix.gettimeofday () +. hang_timeout_s in
+  (* The child never writes, so a readable exit channel is its EOF. *)
   let rec wait () =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ ->
-        if Unix.gettimeofday () > deadline then begin
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-          true
-        end
-        else begin
-          (try Unix.sleepf 0.01 with Unix.Unix_error _ -> ());
-          wait ()
-        end
-    | _, Unix.WEXITED 0 -> false
-    | _, _ -> true
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then begin
+      (try Unix.kill c.Runner.pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Runner.reap c : Unix.process_status);
+      true
+    end
+    else
+      match Unix.select [ c.Runner.fd ] [] [] left with
+      | [], _, _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> wait ()
+      | _ -> Runner.reap c <> Unix.WEXITED 0
   in
   wait ()
 
@@ -378,13 +409,11 @@ let hangs_in_fork ~oracle ~hang_timeout_s prog =
 
 type running = {
   r_u : ustate;
-  r_pid : int;
+  r_child : Runner.child;
   r_started : float;
   r_result : string;
-  r_hb : string;
   r_stderr : string;
-  mutable r_hb_content : string;
-  mutable r_hb_at : float;
+  r_slot : int;  (* its heartbeat slot *)
   mutable r_term_sent : bool;
   mutable r_hang_killed : bool;
 }
@@ -398,11 +427,6 @@ type conn = {
   mutable n_closing : bool;
   mutable n_dead : bool;
 }
-
-let read_hb path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | s -> Some (String.trim s)
-  | exception Sys_error _ -> None
 
 let heap_bytes () =
   let s = Gc.quick_stat () in
@@ -505,7 +529,7 @@ let run cfg ~lo ~hi =
     output_char out_ch '\n';
     flush out_ch
   in
-  (* Scratch area for result, heartbeat and stderr files. *)
+  (* Scratch area for result and stderr files. *)
   let scratch =
     let d =
       Filename.concat
@@ -515,6 +539,7 @@ let run cfg ~lo ~hi =
     (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     d
   in
+  let beats = beats_create ~dir:scratch ~slots:(max 1 cfg.shards) in
   (* Stats socket (optional). *)
   let listen_fd =
     match cfg.stats_socket with
@@ -534,36 +559,48 @@ let run cfg ~lo ~hi =
         Some fd
   in
   let conns : conn list ref = ref [] in
-  (* Signals: first SIGTERM/SIGINT flips the drain flag; EPIPE from a
-     vanished stats client must be an error code, not a signal. *)
+  (* Signals: first SIGTERM/SIGINT flips the drain flag and wakes the
+     loop; EPIPE from a vanished stats client must be an error code, not
+     a signal. *)
   let drain = ref false in
   let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  let install s = Sys.signal s (Sys.Signal_handle (fun _ -> drain := true)) in
-  let old_term = install Sys.sigterm in
-  let old_int = install Sys.sigint in
+  let wake = Runner.wake_on_drain drain in
   let restore_signals () =
     Sys.set_signal Sys.sigpipe old_pipe;
-    Sys.set_signal Sys.sigterm old_term;
-    Sys.set_signal Sys.sigint old_int
+    Runner.restore wake
   in
   let budget =
     Budget.create ?deadline_s:cfg.deadline_s ?mem_bytes:cfg.mem_budget ()
   in
-  let shards_gauge = Obs.Gauge.create () in
-  let queue_gauge = Obs.Gauge.create () in
+  (* Live shards for STATS.  The mean is weighted by the time each level
+     was held, so it does not depend on how often the loop wakes. *)
+  let shards_max = ref 0 in
+  let shards_area = ref 0. in
+  let shards_level = ref 0 and shards_since = ref t0 in
+  let account_shards now =
+    shards_area :=
+      !shards_area +. (float_of_int !shards_level *. (now -. !shards_since));
+    shards_since := now;
+    shards_level := List.length !running;
+    shards_max := max !shards_max !shards_level
+  in
   let pending_units () =
     List.of_seq (Queue.to_seq ready)
     @ !delayed
     @ List.map (fun r -> r.r_u) !running
   in
+  (* A state change sets [ckpt_dirty]; the loop writes at most every
+     0.25 s and wakes for a pending write. *)
   let last_ckpt = ref 0. in
+  let ckpt_dirty = ref false in
   let save_ckpt ~force () =
     match cfg.checkpoint with
     | None -> ()
     | Some path ->
         let now = Unix.gettimeofday () in
-        if force || now -. !last_ckpt > 0.25 then begin
+        if force || (!ckpt_dirty && now -. !last_ckpt > 0.25) then begin
           last_ckpt := now;
+          ckpt_dirty := false;
           write_ckpt path
             {
               k_fingerprint = fp;
@@ -665,8 +702,7 @@ let run cfg ~lo ~hi =
     if cfg.verbose then
       cfg.log
         (Printf.sprintf "unit %s done: %d program(s), %d check(s)" key
-           u.u_acc.a_programs u.u_acc.a_checks);
-    save_ckpt ~force:false ()
+           u.u_acc.a_programs u.u_acc.a_checks)
   in
   let poison_unit u ~reason ~ms =
     let seed = u.u_lo in
@@ -686,8 +722,7 @@ let run cfg ~lo ~hi =
          (match report with
          | Some r -> " (dossier: " ^ r ^ ")"
          | None -> ""));
-    emit (poison_record ~key:(ukey u) ~seed ~reason ~attempts:u.u_attempts ~ms);
-    save_ckpt ~force:false ()
+    emit (poison_record ~key:(ukey u) ~seed ~reason ~attempts:u.u_attempts ~ms)
   in
   let backoff_of u =
     float_of_int
@@ -713,8 +748,8 @@ let run cfg ~lo ~hi =
   let bisect r ~suspect_attempts now =
     let u = r.r_u in
     let suspect =
-      match int_of_string_opt r.r_hb_content with
-      | Some s when s >= u.u_frontier && s <= u.u_hi -> s
+      match beat_seed beats r.r_slot with
+      | s when s >= u.u_frontier && s <= u.u_hi -> s
       | _ -> u.u_frontier
     in
     incr units_split;
@@ -816,38 +851,44 @@ let run cfg ~lo ~hi =
           ~reason:("shard killed by " ^ Runner.signal_name s)
           now
     | Unix.WSTOPPED _ ->
-        (try Unix.kill r.r_pid Sys.sigkill with Unix.Unix_error _ -> ());
+        (try Unix.kill r.r_child.Runner.pid Sys.sigkill
+         with Unix.Unix_error _ -> ());
         attempt_failed r ~reason:"shard stopped unexpectedly" now
   in
   let spawn u =
     let key = ukey u in
     let path ext = Filename.concat scratch (Printf.sprintf "u%s.%s" key ext) in
-    let rp = path "result" and hp = path "hb" and sp = path "stderr" in
+    let rp = path "result" and sp = path "stderr" in
     (try Sys.remove rp with Sys_error _ -> ());
-    (try Sys.remove hp with Sys_error _ -> ());
     let oracle = cfg.oracle and wedge_seeds = cfg.wedge_seeds in
     let frontier = u.u_frontier and uhi = u.u_hi in
+    (* At most [cfg.shards] run, so a slot is always free. *)
+    let slot =
+      let rec free i =
+        if List.exists (fun r -> r.r_slot = i) !running then free (i + 1) else i
+      in
+      free 0
+    in
+    (* No seed yet; the hang budget runs from the fork. *)
+    beat beats slot (-1);
     flush out_ch;
-    let pid =
-      Runner.fork_worker
-        (shard_body ~oracle ~wedge_seeds ~result:rp ~hb:hp ~stderr:sp
-           ~frontier ~hi:uhi ~key)
+    let child =
+      Runner.fork_watched
+        (shard_body ~oracle ~wedge_seeds ~result:rp ~stderr:sp ~frontier
+           ~hi:uhi ~key ~beat:(beat beats slot))
     in
     if cfg.verbose then
       cfg.log
         (Printf.sprintf "shard %d started unit %s at seed %d (attempt %d/%d)"
-           pid key frontier (u.u_attempts + 1) cfg.retries);
-    let now = Unix.gettimeofday () in
+           child.Runner.pid key frontier (u.u_attempts + 1) cfg.retries);
     running :=
       {
         r_u = u;
-        r_pid = pid;
-        r_started = now;
+        r_child = child;
+        r_started = Unix.gettimeofday ();
         r_result = rp;
-        r_hb = hp;
         r_stderr = sp;
-        r_hb_content = "";
-        r_hb_at = now;
+        r_slot = slot;
         r_term_sent = false;
         r_hang_killed = false;
       }
@@ -857,11 +898,12 @@ let run cfg ~lo ~hi =
   let stats_json () =
     let now = Unix.gettimeofday () in
     let wall = now -. t0 in
+    account_shards now;
     Printf.sprintf
       "{\"shards\":%d,\"shards_max\":%d,\"shards_mean\":%.1f,\"queue_depth\":%d,\"units_total\":%d,\"units_done\":%d,\"units_pending\":%d,\"units_requeued\":%d,\"units_split\":%d,\"poison\":%d,\"disagreements\":%d,\"seeds_done\":%d,\"seeds_total\":%d,\"seeds_per_sec\":%.1f,\"states_total\":%d,\"uptime_s\":%.1f,\"draining\":%b}"
       (List.length !running)
-      (Obs.Gauge.max_level shards_gauge)
-      (Obs.Gauge.mean shards_gauge)
+      !shards_max
+      (if wall > 0. then !shards_area /. wall else 0.)
       (Queue.length ready + List.length !delayed)
       !units_total !units_done
       (List.length (pending_units ()))
@@ -981,36 +1023,70 @@ let run cfg ~lo ~hi =
     in
     go ()
   in
-  (* Idle wait doubles as the socket pump: with a stats socket the loop
-     sleeps inside select (responsive to clients), without one it just
-     sleeps. *)
-  let service_socket timeout =
-    match listen_fd with
-    | None -> if timeout > 0. then ( try Unix.sleepf timeout with Unix.Unix_error _ -> ())
-    | Some lfd -> (
-        let live = List.filter (fun c -> not c.n_dead) !conns in
-        let rfds = lfd :: List.map (fun c -> c.n_fd) live in
-        let wfds =
-          List.filter_map
-            (fun c -> if Buffer.length c.n_out > 0 then Some c.n_fd else None)
-            live
-        in
-        match Unix.select rfds wfds [] timeout with
-        | rs, ws, _ ->
-            if List.mem lfd rs then accept_conns lfd;
-            List.iter
-              (fun c ->
-                if (not c.n_dead) && List.mem c.n_fd rs then read_conn c)
-              live;
-            List.iter
-              (fun c ->
-                if
-                  (not c.n_dead)
-                  && (List.mem c.n_fd ws || Buffer.length c.n_out > 0)
-                then write_conn c)
-              live;
-            conns := List.filter (fun c -> not c.n_dead) !conns
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
+  (* One wait serves the stats socket, the shards' exit channels and
+     the drain self-pipe.  It sleeps until one of them speaks or the next
+     deadline falls due: a backoff expiry, a heartbeat conviction, the
+     campaign deadline or a pending checkpoint write. *)
+  let next_deadline () =
+    let t =
+      List.fold_left
+        (fun t r ->
+          if r.r_hang_killed then t
+          else Float.min t (beat_time beats r.r_slot +. cfg.hang_timeout_s))
+        infinity !running
+    in
+    let t = List.fold_left (fun t u -> Float.min t u.u_eligible_at) t !delayed in
+    let t =
+      match Budget.deadline_s budget with
+      | Some left when not !drain -> Float.min t (Unix.gettimeofday () +. left)
+      | _ -> t
+    in
+    if !ckpt_dirty && cfg.checkpoint <> None then
+      Float.min t (!last_ckpt +. 0.25)
+    else t
+  in
+  let wait_and_service () =
+    let live = List.filter (fun c -> not c.n_dead) !conns in
+    let socket_fds =
+      match listen_fd with
+      | None -> []
+      | Some lfd -> lfd :: List.map (fun c -> c.n_fd) live
+    in
+    let wfds =
+      List.filter_map
+        (fun c -> if Buffer.length c.n_out > 0 then Some c.n_fd else None)
+        live
+    in
+    let rs, ws =
+      Runner.sleep_until wake (next_deadline ())
+        (socket_fds @ List.map (fun r -> r.r_child.Runner.fd) !running)
+        wfds
+    in
+    let now = Unix.gettimeofday () in
+    running :=
+      List.filter
+        (fun r ->
+          (not (List.mem r.r_child.Runner.fd rs))
+          ||
+          match Runner.read_child r.r_child with
+          | None -> true
+          | Some status ->
+              ckpt_dirty := true;
+              handle_exit r status now;
+              false)
+        !running;
+    (match listen_fd with
+    | Some lfd when List.mem lfd rs -> accept_conns lfd
+    | _ -> ());
+    List.iter
+      (fun c -> if (not c.n_dead) && List.mem c.n_fd rs then read_conn c)
+      live;
+    List.iter
+      (fun c ->
+        if (not c.n_dead) && (List.mem c.n_fd ws || Buffer.length c.n_out > 0)
+        then write_conn c)
+      live;
+    conns := List.filter (fun c -> not c.n_dead) !conns
   in
   (* --- the event loop --------------------------------------------------------- *)
   let drain_announced = ref false in
@@ -1068,40 +1144,24 @@ let run cfg ~lo ~hi =
            (fun r ->
              if not r.r_term_sent then begin
                r.r_term_sent <- true;
-               try Unix.kill r.r_pid Sys.sigterm with Unix.Unix_error _ -> ()
+               try Unix.kill r.r_child.Runner.pid Sys.sigterm
+               with Unix.Unix_error _ -> ()
              end)
            !running
        end;
-       (* Watchdog: a heartbeat that has not advanced within the hang
-          budget convicts the shard's current seed. *)
+       (* Watchdog: no heartbeat within the hang budget convicts the
+          shard's current seed. *)
        List.iter
          (fun r ->
-           if not r.r_hang_killed then begin
-             (match read_hb r.r_hb with
-             | Some c when not (String.equal c r.r_hb_content) ->
-                 r.r_hb_content <- c;
-                 r.r_hb_at <- now
-             | _ -> ());
-             if now -. r.r_hb_at > cfg.hang_timeout_s then begin
-               r.r_hang_killed <- true;
-               try Unix.kill r.r_pid Sys.sigkill with Unix.Unix_error _ -> ()
-             end
+           if
+             (not r.r_hang_killed)
+             && now -. beat_time beats r.r_slot > cfg.hang_timeout_s
+           then begin
+             r.r_hang_killed <- true;
+             try Unix.kill r.r_child.Runner.pid Sys.sigkill
+             with Unix.Unix_error _ -> ()
            end)
          !running;
-       (* Reap. *)
-       let progressed = ref false in
-       let still = ref [] in
-       List.iter
-         (fun r ->
-           match Unix.waitpid [ Unix.WNOHANG ] r.r_pid with
-           | 0, _ -> still := r :: !still
-           | _, status ->
-               progressed := true;
-               handle_exit r status (Unix.gettimeofday ())
-           | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-               still := r :: !still)
-         !running;
-       running := !still;
        (* Promote delayed units whose backoff expired. *)
        let due, later =
          List.partition (fun u -> u.u_eligible_at <= now) !delayed
@@ -1114,14 +1174,13 @@ let run cfg ~lo ~hi =
          && List.length !running < cfg.shards
          && not (Queue.is_empty ready)
        do
-         progressed := true;
+         ckpt_dirty := true;
          let u = Queue.pop ready in
          if u.u_frontier > u.u_hi then finalize u ~ms:0. else spawn u
        done;
-       Obs.Gauge.set shards_gauge (List.length !running);
-       Obs.Gauge.set queue_gauge (Queue.length ready + List.length !delayed);
+       account_shards (Unix.gettimeofday ());
        save_ckpt ~force:false ();
-       service_socket (if !progressed then 0. else 0.02)
+       if continue () then wait_and_service ()
      done;
      save_ckpt ~force:true ()
    with e ->

@@ -11,8 +11,10 @@
     The supervisor partitions the seed range into fixed-size {e work
     units} and keeps at most [shards] workers in flight; each worker is
     a fork running {!Fuzz.check_seed} over its unit's seeds, one at a
-    time, reporting progress through a per-spawn heartbeat file (the
-    seed it is about to check) and shipping its accumulated
+    time, reporting progress as a heartbeat in its slot of a shared
+    mapping (the seed it is about to check and when it started it; a
+    heartbeat never wakes the supervisor, which learns of exits from
+    {!Runner.fork_watched}'s exit channel) and shipping its accumulated
     {!Fuzz.seed_report} tallies back in a CRC-framed result file under
     the {!Runner} worker contract (exit [0] = unit complete, exit [9] =
     drained at a seed boundary with a partial result, exit [10] /
@@ -20,7 +22,7 @@
 
     {1 Hang hunting}
 
-    A worker whose heartbeat has not advanced within [hang_timeout_s]
+    A worker whose heartbeat has not moved within [hang_timeout_s]
     is presumed wedged on its current seed: the watchdog SIGKILLs it
     and {e bisects} the unit around the suspect seed — the seeds before
     it keep the unit's accumulated progress, the seeds after it become
@@ -50,9 +52,10 @@
 
     {1 Observability}
 
-    Campaign gauges (live shards, unit queue, units done/requeued/
-    split, poison and disagreement counts, seeds/sec) are kept in
-    {!Obs.Gauge}s and served as one-line JSON over an optional Unix
+    Campaign gauges (live shards with their maximum and time-weighted
+    mean, unit queue, units done/requeued/split, poison and
+    disagreement counts, seeds/sec) are served as one-line JSON over an
+    optional Unix
     socket speaking the daemon wire protocol's [STATS] verb, so an
     operator can watch a nightly campaign with [weakord client]. *)
 

@@ -93,9 +93,117 @@ let fork_worker child =
   flush Stdlib.stderr;
   match Unix.fork () with
   | 0 ->
-      (child () : unit);
+      (* An exception must not unwind into the parent's code, which the
+         child shares: that code would run the supervisor's cleanup (and
+         delete its scratch files) from the child. *)
+      (try (child () : unit)
+       with e ->
+         (try
+            prerr_endline (Printexc.to_string e);
+            flush Stdlib.stderr
+          with _ -> ());
+         Unix._exit 10);
       Unix._exit 0
   | pid -> pid
+
+(* --- exit channels ----------------------------------------------------------- *)
+
+type child = { pid : int; fd : Unix.file_descr }
+
+(* The parent closes its copy of the write end before [fork_watched]
+   returns, so it is gone before the next fork: no sibling ever holds
+   another worker's write end, and EOF on [fd] means the worker's
+   process is gone (the kernel closes a dying process's files). *)
+let fork_watched body =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  match
+    fork_worker (fun () ->
+        Unix.close rd;
+        body ())
+  with
+  | pid ->
+      Unix.close wr;
+      { pid; fd = rd }
+  | exception e ->
+      Unix.close rd;
+      Unix.close wr;
+      raise e
+
+(* Blocking on purpose: the kernel closes a dying child's files before
+   its exit status can be collected, so a [WNOHANG] call right after EOF
+   may still return 0. *)
+let rec wait_exit pid =
+  match Unix.waitpid [] pid with
+  | _, status -> status
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_exit pid
+
+let reap c =
+  (try Unix.close c.fd with Unix.Unix_error _ -> ());
+  wait_exit c.pid
+
+(* Supervisors are single-threaded; one scratch buffer serves them all. *)
+let chunk = Bytes.create 64
+
+let read_child c =
+  match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+  | 0 -> Some (reap c)
+  | _ -> None
+  | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> None
+
+(* --- waking the supervisor --------------------------------------------------- *)
+
+type wake = {
+  w_rd : Unix.file_descr;
+  w_wr : Unix.file_descr;
+  w_term : Sys.signal_behavior;
+  w_int : Sys.signal_behavior;
+}
+
+let wake_on_drain drain =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock rd;
+  Unix.set_nonblock wr;
+  (* The byte makes a signal handled anywhere between the loop's [drain]
+     check and its [select] end that [select] at once, instead of
+     sleeping until the next deadline. *)
+  let handler _ =
+    drain := true;
+    try ignore (Unix.single_write_substring wr "!" 0 1 : int)
+    with Unix.Unix_error _ -> ()
+  in
+  let w_term = Sys.signal Sys.sigterm (Sys.Signal_handle handler) in
+  let w_int = Sys.signal Sys.sigint (Sys.Signal_handle handler) in
+  { w_rd = rd; w_wr = wr; w_term; w_int }
+
+let restore w =
+  Sys.set_signal Sys.sigterm w.w_term;
+  Sys.set_signal Sys.sigint w.w_int;
+  (try Unix.close w.w_rd with Unix.Unix_error _ -> ());
+  try Unix.close w.w_wr with Unix.Unix_error _ -> ()
+
+let sleep_until w until rfds wfds =
+  (* The 1 s cap is only a backstop.  OCaml runs a signal handler at a
+     safe point; a signal that arrives after the runtime's last check
+     for pending signals but before the [select] system call starts
+     neither interrupts the call nor has written its byte yet, and
+     would otherwise sleep until [until].  The 1 ms slack wakes the
+     loop just past a deadline, so a strict [>] comparison against it
+     already holds. *)
+  let timeout =
+    Float.min 1. (Float.max 0. (until -. Unix.gettimeofday ()) +. 0.001)
+  in
+  match Unix.select (w.w_rd :: rfds) wfds [] timeout with
+  | rs, ws, _ ->
+      if List.mem w.w_rd rs then begin
+        let b = Bytes.create 64 in
+        try
+          while Unix.read w.w_rd b 0 64 > 0 do
+            ()
+          done
+        with Unix.Unix_error _ -> ()
+      end;
+      (List.filter (fun fd -> fd <> w.w_rd) rs, ws)
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
 
 (* Runs in the child.  Never returns; never flushes the parent's
    buffered channels ([Unix._exit], not [exit]). *)
@@ -151,7 +259,7 @@ let child_exec x ~result_path ~stderr_path (j : Job.t) mat =
 
 let spawn x ~result_path ~stderr_path j mat =
   (try Sys.remove result_path with Sys_error _ -> ());
-  fork_worker (fun () -> child_exec x ~result_path ~stderr_path j mat)
+  fork_watched (fun () -> child_exec x ~result_path ~stderr_path j mat)
 
 let read_result path =
   match read_framed ~kind:result_kind path with

@@ -11,7 +11,10 @@
     or record shapes.
 
     Scheduling policy (retry queues, backoff, fairness, drain) stays
-    with the callers; nothing here blocks or loops.
+    with the callers.  What is shared is how a supervisor waits: every
+    worker has an exit channel, and {!sleep_until} sleeps until a
+    channel, a socket or a drain signal speaks, or the next deadline
+    falls due.
 
     {1 Worker exit-status contract}
 
@@ -69,8 +72,73 @@ val fork_worker : (unit -> unit) -> int
 (** [fork_worker child] flushes the parent's [stdout]/[stderr] (so
     buffered bytes are not emitted twice), forks, runs [child] in the
     child process and [_exit 0]s if it returns; the parent gets the
-    pid.  The generic fork under {!spawn} and the fleet's shard
-    workers — any [child] must honor the exit-status contract above. *)
+    pid.  If [child] raises, the child prints the exception on stderr
+    and [_exit 10]s, so the exception never unwinds into the code it
+    shares with the parent.  The generic fork under {!fork_watched};
+    any [child] must honor the exit-status contract above. *)
+
+(** {1 Exit channels}
+
+    A supervisor learns that a worker finished from the worker's exit
+    channel, not from a poll: each watched worker owns one pipe whose
+    write end only the worker holds.  When the worker dies, however it
+    dies, the kernel closes that end and the parent's read end reaches
+    EOF, which wakes the parent's [select]. *)
+
+type child = { pid : int; fd : Unix.file_descr }
+(** A forked worker and the read end of its exit channel. *)
+
+val fork_watched : (unit -> unit) -> child
+(** [fork_watched body] is {!fork_worker} with an exit channel: it
+    makes a pipe, forks, and runs [body ()] in the child, which keeps
+    the write end open and never writes to it.  The parent closes its
+    copy of the write end before returning, so no later sibling
+    inherits it, and EOF on [fd] means "this worker is gone".  Progress
+    does not travel on the channel: a readable channel wakes the
+    supervisor, and a wake per unit of progress would cost the worker a
+    context switch each time. *)
+
+val read_child : child -> Unix.process_status option
+(** [read_child c] is called when [c.fd] is readable.  At EOF it closes
+    [c.fd], reaps the worker and returns its status; stray bytes and an
+    interrupted read give [None]. *)
+
+val reap : child -> Unix.process_status
+(** [reap c] closes [c.fd] and waits for the worker with a blocking
+    [waitpid], retrying on [EINTR].  Blocking is required: the kernel
+    closes a dying process's files before its exit status can be
+    collected, so a [WNOHANG] call right after EOF can still return
+    [0]. *)
+
+(** {1 Waking the supervisor} *)
+
+type wake
+(** SIGTERM/SIGINT handlers plus the self-pipe they write to. *)
+
+val wake_on_drain : bool ref -> wake
+(** [wake_on_drain drain] installs SIGTERM and SIGINT handlers that set
+    [drain] and write one byte to a self-pipe that {!sleep_until}
+    watches, so a drain signal ends the supervisor's sleep at once. *)
+
+val restore : wake -> unit
+(** Reinstate the handlers {!wake_on_drain} replaced and close its
+    pipe.  Supervisors call it before returning, since the in-process
+    tests run many of them per process. *)
+
+val sleep_until :
+  wake ->
+  float ->
+  Unix.file_descr list ->
+  Unix.file_descr list ->
+  Unix.file_descr list * Unix.file_descr list
+(** [sleep_until w until rfds wfds] is one [Unix.select] over [rfds],
+    [wfds] and [w]'s self-pipe that returns when a descriptor is ready,
+    a drain signal arrives, or the absolute time [until]
+    ([Unix.gettimeofday] scale, [infinity] for none) has passed by
+    1 ms.  The sleep is capped at 1 s as a backstop for a signal that
+    lands between the runtime's pending-signal check and the system
+    call.  Returns the ready descriptors of [rfds] and [wfds]; an
+    interrupted call returns none. *)
 
 val redirect_stderr : string -> unit
 (** Point the process's [stderr] at a capture file (truncating);
@@ -87,9 +155,10 @@ val read_framed : kind:string -> string -> string option
     [kind] exactly; [None] on any defect.  The parent half of the
     result-file protocol. *)
 
-val spawn : exec -> result_path:string -> stderr_path:string -> Job.t -> mat -> int
-(** [spawn x ~result_path ~stderr_path j m] forks a worker for one
-    attempt at [j] and returns its pid.  The child redirects stderr to
+val spawn : exec -> result_path:string -> stderr_path:string -> Job.t -> mat -> child
+(** [spawn x ~result_path ~stderr_path j m] forks a watched worker
+    ({!fork_watched}) for one attempt at [j].  The worker never writes
+    to its exit channel.  The child redirects stderr to
     [stderr_path], runs {!Worker.run} (or the wedge spin loop for
     {!Job.Wedge} jobs), writes its verdict to [result_path] via an
     atomic install, and terminates per the exit-status contract above.

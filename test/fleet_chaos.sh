@@ -97,11 +97,15 @@ elif ! echo "$stats" | grep -q '"shards"'; then
   fail "STATS response lacks the shard gauge: $stats"
 fi
 
-# Murder the shard working unit 0..24 mid-unit: the unit must be
-# requeued whole, not split (record identity depends on it).
+# Murder the shard working unit 50..74 mid-unit: an external kill
+# convicts no seed, so the unit must be requeued whole, not bisected
+# (record identity depends on it).  This is the wedge seed's unit: its
+# shard stays alive for at least the 1s hang budget, far longer than the
+# 50ms poll below.  A healthy unit can finish before the poll sees its
+# pid, and the kill then lands on nothing.
 wpid=""
 for _ in $(seq 1 100); do
-  wpid="$(grep -o 'shard [0-9]* started unit 0\.\.24' "$tmp/b.err" 2>/dev/null \
+  wpid="$(grep -o 'shard [0-9]* started unit 50\.\.74' "$tmp/b.err" 2>/dev/null \
     | head -1 | grep -o '[0-9]*' | head -1)"
   [ -n "$wpid" ] && break
   sleep 0.05
@@ -109,7 +113,7 @@ done
 if [ -n "$wpid" ]; then
   kill -9 "$wpid" 2>/dev/null
 else
-  fail "could not find the unit 0..24 shard pid in the verbose log"
+  fail "could not find the unit 50..74 shard pid in the verbose log"
 fi
 
 sleep 0.6 # let the kill land and some units finish before draining

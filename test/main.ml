@@ -1,6 +1,11 @@
+(* The service suite runs first: it forks supervisors' workers in
+   process, and OCaml 5 refuses [Unix.fork] for the rest of the process
+   once any domain has been spawned (the explore suite's parallel runs
+   spawn some). *)
 let () =
   Alcotest.run "weakord"
     [
+      Test_service.suite;
       Test_relation.suite;
       Test_program.suite;
       Test_litmus.suite;
@@ -21,5 +26,4 @@ let () =
       Test_core.suite;
       Test_resilience.suite;
       Test_sym.suite;
-      Test_service.suite;
     ]

@@ -1,9 +1,12 @@
 (* The batch verification service's in-process pieces: the job-file
    parser, the CRC-validated verdict cache, the deterministic retry
-   backoff, and the worker's verdict computation.  The process-level
-   machinery (forked workers, SIGKILL, drain/resume) is exercised by
-   test/batch_chaos.sh against the real binary — forking is not safe
-   in-process here, where earlier suites have already spawned domains. *)
+   backoff, the worker's verdict computation, the exit channels, and
+   small end-to-end runs of the batch and fleet supervisors.  This suite
+   runs first (test/main.ml): OCaml 5 refuses [Unix.fork] once any
+   domain has been spawned, and later suites spawn some.  The rest of the process-level
+   machinery (kill -9 of a worker, drain/resume identity) is exercised
+   by test/batch_chaos.sh and test/fleet_chaos.sh against the real
+   binary. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -504,6 +507,157 @@ let test_fleet_wedge_rule () =
   check "minimal reproducer is strictly smaller" true
     (Shrink.instr_count min < Shrink.instr_count prog)
 
+(* --- supervisors ---------------------------------------------------------------- *)
+
+let alive pid =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | 0, _ -> true
+  | _ -> false
+
+let test_exit_channel_siblings () =
+  (* The quick child is forked first, so the wedged one would inherit
+     its write end if the parent still held it: the quick child's EOF
+     must not wait for its wedged sibling. *)
+  let quick = Runner.fork_watched (fun () -> Unix._exit 0) in
+  let wedged =
+    Runner.fork_watched (fun () ->
+        while true do
+          try Unix.sleepf 1. with Unix.Unix_error _ -> ()
+        done)
+  in
+  let kill_wedged () =
+    (try Unix.kill wedged.Runner.pid Sys.sigkill with Unix.Unix_error _ -> ());
+    Runner.reap wedged
+  in
+  let rs, _, _ =
+    try Unix.select [ quick.Runner.fd ] [] [] 5.
+    with e ->
+      ignore (kill_wedged ());
+      raise e
+  in
+  if rs = [] then begin
+    ignore (kill_wedged ());
+    Alcotest.fail "the quick child's exit channel stayed silent"
+  end;
+  let rec until_exit () =
+    match Runner.read_child quick with
+    | Some st -> st
+    | None -> until_exit ()
+  in
+  check "the quick child is reaped with status 0" true
+    (until_exit () = Unix.WEXITED 0);
+  let still_alive = alive wedged.Runner.pid in
+  check "the wedged sibling dies by SIGKILL" true
+    (kill_wedged () = Unix.WSIGNALED Sys.sigkill);
+  check "the wedged sibling was alive after the quick one was reaped" true
+    still_alive
+
+let batch_cfg out =
+  { Batch.default_cfg with Batch.out = Some out; workers = 2; backoff_ms = 10 }
+
+let batch_records path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let test_batch_timeout_wakes () =
+  (* Nothing but the timeout deadline ends the wedge's attempts: were
+     the supervisor woken only by the 1 s backstop, two attempts would
+     take 2 s. *)
+  let jobs = parse_ok "machine def2\nwedge\nseeds 0..2\n" in
+  let out = tmp_path ".jsonl" in
+  let s =
+    Batch.run { (batch_cfg out) with timeout_s = 0.3; retries = 2 } jobs
+  in
+  let recs = batch_records out in
+  Sys.remove out;
+  check_int "one record per job" 4 (List.length recs);
+  check_int "three ok" 3
+    (List.length (List.filter (contains ~sub:{|"status":"ok"|}) recs));
+  (match List.filter (contains ~sub:{|"status":"quarantined"|}) recs with
+  | [ q ] ->
+      check "the wedge was timed out" true
+        (contains ~sub:"timeout: SIGKILL after 0.3s" q)
+  | _ -> Alcotest.fail "expected exactly one quarantined record");
+  check_int "completed with quarantine" 4 (Batch.exit_code s);
+  check "woken by the timeouts, not the backstop" true (s.Batch.wall_s < 1.5)
+
+let test_batch_deadline_wakes () =
+  let jobs = parse_ok "machine def2\nwedge\n" in
+  let out = tmp_path ".jsonl" in
+  let s =
+    Batch.run
+      { (batch_cfg out) with timeout_s = 30.; deadline_s = Some 0.2 }
+      jobs
+  in
+  Sys.remove out;
+  check "suspended" true s.Batch.suspended;
+  check_int "the wedge is pending" 1 s.Batch.pending;
+  check "woken by the deadline, not the backstop" true (s.Batch.wall_s < 0.9)
+
+let test_fleet_end_to_end () =
+  let out = tmp_path ".jsonl" in
+  let s =
+    Fleet.run
+      {
+        Fleet.default_cfg with
+        Fleet.shards = 1;
+        unit_seeds = 10;
+        out = Some out;
+      }
+      ~lo:0 ~hi:29
+  in
+  let recs = batch_records out in
+  Sys.remove out;
+  check_int "every seed checked" 30 s.Fleet.f_programs;
+  check_int "no disagreement" 0 s.Fleet.f_disagreements;
+  check_int "three units done" 3 s.Fleet.f_units_done;
+  check_int "one record per unit" 3 (List.length recs);
+  check_int "clean campaign exits 0" 0 (Fleet.exit_code s)
+
+let test_fleet_hang_convicts_the_seed () =
+  (* The heartbeat slot must name the seed a shard wedged on: the first
+     hang bisects the unit around it, the second poisons exactly it. *)
+  let out = tmp_path ".jsonl" in
+  let t0 = Unix.gettimeofday () in
+  let s =
+    Fleet.run
+      {
+        Fleet.default_cfg with
+        Fleet.shards = 1;
+        unit_seeds = 10;
+        wedge_seeds = [ 5 ];
+        hang_timeout_s = 0.3;
+        retries = 2;
+        backoff_ms = 10;
+        out = Some out;
+      }
+      ~lo:0 ~hi:9
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  Sys.remove out;
+  check "the wedge seed is the one poison" true
+    (List.map (fun p -> p.Fleet.p_seed) s.Fleet.f_poison = [ 5 ]);
+  check_int "every other seed checked" 9 s.Fleet.f_programs;
+  check_int "each of the two hangs bisects" 2 s.Fleet.f_units_split;
+  check_int "a campaign with poison exits 4" 4 (Fleet.exit_code s);
+  check "convicted within the hang budget, not a multiple of it" true
+    (wall < 2.)
+
+let test_exit_channel_raising_child () =
+  (* An exception in the child must end the child, with exit 10, and
+     never unwind into the code it shares with the parent. *)
+  let c =
+    Runner.fork_watched (fun () ->
+        Runner.redirect_stderr "/dev/null";
+        failwith "engine raised")
+  in
+  let rec until_exit () =
+    ignore (Unix.select [ c.Runner.fd ] [] [] 5. : _ * _ * _);
+    match Runner.read_child c with Some st -> st | None -> until_exit ()
+  in
+  check "a raising child exits 10" true (until_exit () = Unix.WEXITED 10)
+
 let test_job_profile_opt () =
   let jobs = parse_ok "seed 4 profile=wide\n" in
   (match (List.hd jobs).Job.source with
@@ -566,4 +720,16 @@ let suite =
         test_fleet_wedge_rule;
       Alcotest.test_case "job profile genopt round-trips" `Quick
         test_job_profile_opt;
+      Alcotest.test_case "exit channel: no sibling holds a write end" `Quick
+        test_exit_channel_siblings;
+      Alcotest.test_case "batch: the timeout alone wakes the supervisor"
+        `Quick test_batch_timeout_wakes;
+      Alcotest.test_case "batch: the deadline alone wakes the supervisor"
+        `Quick test_batch_deadline_wakes;
+      Alcotest.test_case "fleet: a campaign end to end" `Quick
+        test_fleet_end_to_end;
+      Alcotest.test_case "fleet: a hang convicts its seed" `Quick
+        test_fleet_hang_convicts_the_seed;
+      Alcotest.test_case "exit channel: a raising child exits 10" `Quick
+        test_exit_channel_raising_child;
     ] )
