@@ -1179,9 +1179,10 @@ let batch_cmd =
       value & opt int Batch.default_cfg.Batch.workers
       & info [ "workers" ] ~docv:"N"
           ~doc:
-            "Forked worker processes to keep in flight. Each job attempt \
-             runs in its own process: a crash or wedge costs that attempt, \
-             never the batch.")
+            "Forked worker processes to keep in flight. Each is forked \
+             once and runs job after job, each job outside the supervisor: \
+             a crash or wedge costs that attempt and that worker, never \
+             the batch.")
   in
   let timeout_flag =
     Arg.(

@@ -1,31 +1,41 @@
-(* The batch supervisor: a pool of forked workers under one event loop.
+(* The batch supervisor: a pool of persistent workers under one event
+   loop.
 
-   Process architecture: the supervisor forks one worker process per job
-   attempt (never more than [cfg.workers] in flight) and does no
-   verification itself.  A worker computes one verdict, writes it to a
-   CRC-framed result file (atomic install), and [Unix._exit]s — it never
-   touches the parent's channels, cache, or checkpoint.  All parent-side
-   state transitions happen in one thread, in the reap/dispatch loop, so
-   there is no locking anywhere.  The loop sleeps until a worker's exit
-   channel reaches EOF ([Runner.fork_watched]), a drain signal arrives,
-   or the next deadline falls due.
+   Process architecture: the supervisor forks at most [cfg.workers]
+   worker processes, each the first time a job needs its slot, and does
+   no verification itself.  A worker is forked after every job is
+   materialized, so it already holds them all: the supervisor sends it a
+   job id on its request pipe, and the worker answers with the verdict
+   as one CRC-framed reply on its reply pipe, then waits for the next
+   id.  A worker never touches the parent's channels, cache, or
+   checkpoint.  All parent-side state transitions happen in one thread,
+   in the reply/dispatch loop, so there is no locking anywhere.  The
+   reply pipe is also the worker's exit channel: the loop sleeps until a
+   reply or a death arrives on one, a drain signal arrives, or the next
+   deadline falls due.
 
    The failure matrix the loop implements:
 
-     worker exit 0 + valid result file   -> verdict (cache + JSONL)
-     worker exit 0 + missing/corrupt file-> failed attempt (torn write)
-     worker exit 9                       -> cancelled (drain): job stays
-                                            pending for the resume
-     any other exit / any signal         -> failed attempt
-     wall-clock past cfg.timeout_s       -> SIGKILL, failed attempt
-     attempts exhausted                  -> quarantine with stderr tail
+     valid reply (CRC, kind, verdict)     -> verdict (cache + JSONL);
+                                             the worker waits for more
+     reply failing its CRC or kind        -> SIGKILL, failed attempt
+     EOF + exit 9                         -> cancelled (drain): job stays
+                                             pending for the resume
+     EOF + any other exit / any signal    -> failed attempt (a partial
+                                             reply is dropped)
+     wall-clock past cfg.timeout_s        -> SIGKILL, failed attempt
+     attempts exhausted                   -> quarantine with stderr tail
+     EOF from an idle worker              -> the slot is empty again
 
+   A killed or dead worker's slot is re-forked when a job next needs it.
    Failed attempts requeue with exponential backoff plus deterministic
    jitter; quarantined jobs keep the batch going (exit code 4, not a
    crash).  SIGTERM/SIGINT (or the deadline) starts a drain: dispatch
-   stops, in-flight workers get SIGTERM (their exploration stops at a
-   safe point via the rcfg cancel hook), and the queue state is
-   checkpointed so --resume picks up exactly the unfinished jobs. *)
+   stops, busy workers get SIGTERM (their exploration stops at a safe
+   point via the rcfg cancel hook), idle ones get EOF on their request
+   pipe, and the queue state is checkpointed so --resume picks up
+   exactly the unfinished jobs.  Every worker is reaped before [run]
+   returns. *)
 
 type cfg = {
   out : string option;
@@ -112,9 +122,9 @@ let backoff_delay_ms ~base ~attempt ~job_id =
     let jitter = Int64.to_int (Int64.rem (Int64.logand z Int64.max_int) (Int64.of_int base)) in
     (base * (1 lsl min (attempt - 1) 16)) + jitter
 
-(* JSONL rendering and the fork-per-attempt machinery live in [Runner],
-   shared with the socket daemon; this file keeps only the scheduling
-   policy (queues, retries, drain, checkpoint). *)
+(* JSONL rendering and the worker machinery live in [Runner], shared
+   with the fleet and the socket daemon; this file keeps only the
+   scheduling policy (queues, retries, drain, checkpoint). *)
 
 let quarantine_record q ~ms =
   Runner.quarantine_record q.q_job ~reason:q.q_reason ~stderr:q.q_stderr
@@ -190,9 +200,8 @@ let materialize model (j : Job.t) =
 
 type running = {
   r_js : jstate;
-  r_child : Runner.child;
+  r_w : Runner.worker;
   r_started : float;
-  r_result : string;
   r_stderr : string;
   mutable r_timed_out : bool;
   mutable r_term_sent : bool;
@@ -269,7 +278,7 @@ let run cfg jobs =
     output_char out_ch '\n';
     flush out_ch
   in
-  (* Scratch area for result files and stderr captures. *)
+  (* Scratch area for the workers' stderr captures. *)
   let scratch =
     let d =
       Filename.concat
@@ -279,7 +288,6 @@ let run cfg jobs =
     (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     d
   in
-  let result_path id = Filename.concat scratch (Printf.sprintf "job%d.result" id) in
   let stderr_path id = Filename.concat scratch (Printf.sprintf "job%d.stderr" id) in
   (* Drain signal: first SIGTERM/SIGINT flips the flag and wakes the
      loop, which does the rest at a safe point.  Handlers are restored
@@ -303,6 +311,9 @@ let run cfg jobs =
   let delayed : jstate list ref = ref [] in
   List.iter (fun js -> Queue.add js ready) states;
   let running : running list ref = ref [] in
+  (* Live workers with no job.  A slot with no live worker is forked
+     when a job next needs it. *)
+  let idle : Runner.worker list ref = ref [] in
   let last_ckpt = ref 0. in
   let save_ckpt ~force () =
     match cfg.checkpoint with
@@ -401,13 +412,8 @@ let run cfg jobs =
     else requeue js
   in
   let handle_exit r status =
-    let ms = (Unix.gettimeofday () -. r.r_started) *. 1000. in
     match status with
-    | Unix.WEXITED 0 -> (
-        match Runner.read_result r.r_result with
-        | Some v -> finish_verdict r.r_js v ~cached:false ~ms
-        | None ->
-            attempt_failed r "worker exited 0 but left no valid result file")
+    | Unix.WEXITED 0 -> attempt_failed r "worker exited 0 without a reply"
     | Unix.WEXITED 9 ->
         (* Drain cancellation: not a failure — the job goes back to the
            queue untouched and lands in the resume checkpoint. *)
@@ -421,11 +427,27 @@ let run cfg jobs =
     | Unix.WSIGNALED s ->
         attempt_failed r
           (Printf.sprintf "worker killed by %s" (Runner.signal_name s))
-    | Unix.WSTOPPED _ ->
-        (* Not requested (no WUNTRACED); treat defensively. *)
-        (try Unix.kill r.r_child.Runner.pid Sys.sigkill
-         with Unix.Unix_error _ -> ());
+    | Unix.WSTOPPED _ -> (* not requested (no WUNTRACED) *)
         attempt_failed r "worker stopped unexpectedly"
+  in
+  (* A reply ends the attempt and frees the worker; a death or a corrupt
+     reply ends both. *)
+  let on_event r = function
+    | Runner.Nothing -> true
+    | Runner.Reply payload ->
+        idle := r.r_w :: !idle;
+        (match Runner.verdict_of_payload payload with
+        | Some v ->
+            finish_verdict r.r_js v ~cached:false
+              ~ms:((Unix.gettimeofday () -. r.r_started) *. 1000.)
+        | None -> attempt_failed r "worker reply does not unmarshal");
+        false
+    | Runner.Died status ->
+        handle_exit r status;
+        false
+    | Runner.Corrupt ->
+        attempt_failed r "worker reply failed its CRC or kind";
+        false
   in
   let exec =
     {
@@ -435,32 +457,62 @@ let run cfg jobs =
       x_mem_budget = cfg.mem_budget;
     }
   in
-  let spawn js =
-    let rp = result_path js.job.Job.id and sp = stderr_path js.job.Job.id in
+  let lookup id =
+    let js = Hashtbl.find by_id id in
+    (js.job, { Runner.m_prog = js.prog; m_error = js.mat_error }, stderr_path id)
+  in
+  let fork () =
     flush out_ch;
-    let child =
-      Runner.spawn exec ~result_path:rp ~stderr_path:sp js.job
-        { Runner.m_prog = js.prog; m_error = js.mat_error }
+    let siblings = !idle @ List.map (fun r -> r.r_w) !running in
+    let w = Runner.fork_job_worker exec ~siblings lookup in
+    if cfg.verbose then cfg.log (Printf.sprintf "worker %d forked" w.Runner.pid);
+    w
+  in
+  (* A worker that died idle fails its send; that costs the job no
+     attempt, only a fresh fork.  A fresh worker's failed send shows up
+     as its death. *)
+  let rec dispatch id =
+    let w, fresh =
+      match !idle with
+      | [] -> (fork (), true)
+      | w :: rest ->
+          idle := rest;
+          (w, false)
     in
+    if Runner.send w id || fresh then w
+    else begin
+      ignore (Runner.retire w : Unix.process_status);
+      dispatch id
+    end
+  in
+  let spawn js =
+    let w = dispatch (string_of_int js.job.Job.id) in
     if cfg.verbose then
       cfg.log
         (Printf.sprintf "worker %d started %s (attempt %d/%d)"
-           child.Runner.pid (Job.label js.job) (js.attempts + 1) cfg.retries);
+           w.Runner.pid (Job.label js.job) (js.attempts + 1) cfg.retries);
     running :=
       {
         r_js = js;
-        r_child = child;
+        r_w = w;
         r_started = Unix.gettimeofday ();
-        r_result = rp;
-        r_stderr = sp;
+        r_stderr = stderr_path js.job.Job.id;
         r_timed_out = false;
         r_term_sent = false;
       }
       :: !running
   in
+  let retire_idle () =
+    List.iter (fun w -> ignore (Runner.retire w : Unix.process_status)) !idle;
+    idle := []
+  in
   let deadline_at = Option.map (fun d -> t0 +. d) cfg.deadline_s in
   let drain_announced = ref false in
   let finally () =
+    (* No worker outlives the batch: idle ones exit on EOF, and busy
+       ones (left only by an exception) are killed. *)
+    retire_idle ();
+    List.iter (fun r -> Runner.kill r.r_w) !running;
     Runner.restore wake;
     close_out_ch ();
     (* Best-effort scratch cleanup; captured stderr of quarantined jobs
@@ -474,9 +526,10 @@ let run cfg jobs =
     | exception Sys_error _ -> ())
   in
   (* The loop never polls: it sleeps in [Runner.sleep_until] until a
-     worker's exit channel reaches EOF, a drain signal arrives, or the
-     earliest deadline falls due — a running worker's timeout, a
-     delayed job's backoff expiry, or the batch deadline. *)
+     worker's reply pipe speaks (a reply, or EOF at its death), a drain
+     signal arrives, or the earliest deadline falls due — a running
+     worker's timeout, a delayed job's backoff expiry, or the batch
+     deadline. *)
   let next_deadline () =
     let t =
       List.fold_left
@@ -504,8 +557,10 @@ let run cfg jobs =
            drain := true;
            cfg.log "batch deadline reached; draining"
        | _ -> ());
-       (* Drain: forward SIGTERM once to every in-flight worker. *)
+       (* Drain: forward SIGTERM once to every busy worker, and EOF to
+          the idle ones. *)
        if !drain then begin
+         retire_idle ();
          if not !drain_announced then begin
            drain_announced := true;
            cfg.log
@@ -518,18 +573,18 @@ let run cfg jobs =
            (fun r ->
              if not r.r_term_sent then begin
                r.r_term_sent <- true;
-               try Unix.kill r.r_child.Runner.pid Sys.sigterm
+               try Unix.kill r.r_w.Runner.pid Sys.sigterm
                with Unix.Unix_error _ -> ()
              end)
            !running
        end;
-       (* Timeouts: SIGKILL, then let the exit channel report it. *)
+       (* Timeouts: SIGKILL, then let the reply pipe's EOF report it. *)
        List.iter
          (fun r ->
            if (not r.r_timed_out) && now -. r.r_started > cfg.timeout_s
            then begin
              r.r_timed_out <- true;
-             try Unix.kill r.r_child.Runner.pid Sys.sigkill
+             try Unix.kill r.r_w.Runner.pid Sys.sigkill
              with Unix.Unix_error _ -> ()
            end)
          !running;
@@ -570,24 +625,20 @@ let run cfg jobs =
                      | None -> spawn js))
              | None -> (* wedge: never cached *) spawn js)
        done;
-       (* Sleep until something happens, then reap the workers whose
-          exit channel reached EOF. *)
+       (* Sleep until something happens, then read the reply pipes that
+          spoke: a reply frees its worker, an EOF reaps it. *)
        if continue () then begin
          let ready_fds, _ =
            Runner.sleep_until wake (next_deadline ())
-             (List.map (fun r -> r.r_child.Runner.fd) !running)
+             (List.map (fun (w : Runner.worker) -> w.rsp)
+                (!idle @ List.map (fun r -> r.r_w) !running))
              []
          in
+         let spoke (w : Runner.worker) = List.mem w.rsp ready_fds in
+         idle := List.filter (fun w -> (not (spoke w)) || Runner.idle_alive w) !idle;
          running :=
            List.filter
-             (fun r ->
-               (not (List.mem r.r_child.Runner.fd ready_fds))
-               ||
-               match Runner.read_child r.r_child with
-               | None -> true
-               | Some status ->
-                   handle_exit r status;
-                   false)
+             (fun r -> (not (spoke r.r_w)) || on_event r (Runner.receive r.r_w))
              !running
        end
      done;

@@ -3,8 +3,10 @@
     A batch fans its jobs out across a pool of {e forked} worker
     processes — crash isolation by construction: a segfault, OOM-kill,
     or wedge in one job costs at most that job's attempt, never the
-    batch.  The supervisor is the only long-lived process and does no
-    verification work itself.
+    batch.  Each worker slot is forked once and serves job after job
+    ({!Runner.fork_persistent}); a worker that dies is re-forked when a
+    job next needs its slot.  The supervisor does no verification work
+    itself, and no worker outlives {!run}.
 
     Robustness machinery:
     - {b per-job timeouts}: a worker past its wall-clock budget is
@@ -69,7 +71,7 @@ type summary = {
   quarantined : quarantined list;  (** this run's quarantine, newest last *)
   quarantined_total : int;  (** including resumed-from runs *)
   pending : int;  (** jobs not finished (> 0 only when suspended) *)
-  served_from_cache : int;  (** verdicts answered without forking *)
+  served_from_cache : int;  (** verdicts answered without a worker *)
   sym_dedup : int;
       (** cache hits served through the symmetry key: the job's exact
           text was never verified, a renaming of it was *)

@@ -4,8 +4,9 @@
     Unix-domain socket.  Clients speak the {!Wire} protocol
     ([SUBMIT]/[STATUS]/[RESULT]/[CANCEL]/[STATS]/[DRAIN]; spec in
     [docs/PROTOCOL.md]); submitted jobs become {e tickets} multiplexed
-    onto the same fork-per-attempt machinery as the one-shot {!Batch}
-    supervisor ({!Runner}), under the same timeout / retry-with-backoff
+    onto forked workers under the same worker contract as the one-shot
+    {!Batch} supervisor ({!Runner}; unlike batch, the daemon forks one
+    worker per attempt), under the same timeout / retry-with-backoff
     / poison-quarantine policy, against one {!Verdict_cache} shared by
     every client — including the orbit-canonical symmetry key, so a
     job completes instantly when any client ever paid for a verdict of

@@ -1,26 +1,30 @@
 (* The sharded fuzz fleet: a fault-tolerant supervisor over the
    three-way differential oracle in [Fuzz].
 
-   Process architecture mirrors [Batch]: the supervisor forks one shard
-   worker per work-unit attempt (never more than [cfg.shards] in
-   flight) and does no verification itself.  A shard streams its unit's
-   seeds through [Fuzz.check_prog], heartbeats the seed it is about to
-   check into its slot of a shared mapping, and ships its accumulated
-   tallies back in a CRC-framed result file; all parent-side state
-   transitions happen in one thread, in a loop that sleeps until an exit
-   channel ([Runner.fork_watched]), the stats socket or a drain signal
-   speaks, or the next deadline falls due.
+   Process architecture mirrors [Batch]: the supervisor forks at most
+   [cfg.shards] persistent shard workers, each the first time a unit
+   needs its slot, and does no verification itself.  A shard keeps its
+   heartbeat slot for life.  It takes a unit as a request
+   [(frontier, hi, key)], streams the unit's seeds through
+   [Fuzz.check_prog], heartbeats the seed it is about to check into its
+   slot of a shared mapping, and answers with its accumulated tallies as
+   one CRC-framed reply; then it waits for the next unit.  All
+   parent-side state transitions happen in one thread, in a loop that
+   sleeps until a reply pipe (which is also the shard's exit channel),
+   the stats socket or a drain signal speaks, or the next deadline falls
+   due.
 
    The failure matrix:
 
-     exit 0 + valid result, next > hi  -> unit done (emit its records)
-     exit 9 + valid result             -> drained at a seed boundary:
+     reply with next > hi              -> unit done (emit its records);
+                                          the shard waits for more
+     reply with next <= hi, exit 9     -> drained at a seed boundary:
                                           merge the partial, requeue
      no heartbeat for hang_timeout_s   -> SIGKILL + bisect: seeds before
                                           the suspect keep the progress,
                                           seeds after become fresh work,
                                           the suspect retries alone
-     any other death                   -> failed attempt: requeue whole
+     any other death, corrupt reply    -> failed attempt: requeue whole
                                           (a transient kill must not
                                           split units, or resumed and
                                           uninterrupted campaigns would
@@ -29,6 +33,8 @@
                                           with a ddmin-minimized
                                           reproducer; campaign continues
 
+   A killed shard's slot is re-forked when a unit next needs it, and
+   every shard is reaped before [run] returns.
    Records are emitted only when a unit finalizes, so drained partials
    never double-emit; the volatile [cached/attempts/ms] trailer comes
    from [Runner.record_trailer], so one regex strips timing from fleet,
@@ -129,7 +135,7 @@ let wedge_fires ~wedge_seeds ~seed prog =
 
 (* What a shard ships back: [Fuzz.seed_report] sums plus each
    disagreement tagged with its seed.  Merged exactly once per seed
-   across the campaign — on failed attempts no result file exists, and
+   across the campaign — a failed attempt's tallies are dropped, and
    the deterministic oracle recomputes identical tallies on retry. *)
 type acc = {
   a_programs : int;
@@ -234,26 +240,22 @@ let probe_oracle oracle =
     deadline_s = None;
   }
 
-(* Runs in the child.  Heartbeat first, then check: the parent reads a
-   stale heartbeat as "wedged on exactly this seed".  A wedge seed spins
-   forever and ignores SIGTERM — a faithful model of a real engine hang,
-   which only the watchdog's SIGKILL resolves. *)
-let shard_body ~oracle ~wedge_seeds ~result ~stderr ~frontier ~hi ~key ~beat
-    () =
-  let cancelled = ref false in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> cancelled := true));
-  Sys.set_signal Sys.sigint Sys.Signal_ignore;
-  Runner.redirect_stderr stderr;
+(* Runs in the shard, once per unit.  Heartbeat first, then check: the
+   parent reads a stale heartbeat as "wedged on exactly this seed".  A
+   wedge seed spins forever and ignores SIGTERM — a faithful model of a
+   real engine hang, which only the watchdog's SIGKILL resolves. *)
+let shard_unit ~oracle ~wedge_seeds ~stderr ~beat ~cancelled ~reply request =
+  let frontier, hi, key = (Marshal.from_string request 0 : int * int * string) in
+  Runner.redirect_stderr (stderr key);
   let probe = probe_oracle oracle in
   let acc = ref acc_zero in
-  let ship next code =
-    Runner.write_framed ~kind:unit_kind ~meta:key result
-      (Marshal.to_string (!acc, next) []);
-    Unix._exit code
-  in
+  let ship next = reply (Marshal.to_string (!acc, next) []) in
   let seed = ref frontier in
   while !seed <= hi do
-    if !cancelled then ship !seed 9;
+    if cancelled () then begin
+      ship !seed;
+      Unix._exit 9
+    end;
     beat !seed;
     let prog = Litmus_gen.generate ~config:probe.Fuzz.config !seed in
     if wedge_fires ~wedge_seeds ~seed:!seed prog then
@@ -266,15 +268,12 @@ let shard_body ~oracle ~wedge_seeds ~result ~stderr ~frontier ~hi ~key ~beat
       incr seed
     end
   done;
-  ship (hi + 1) 0
+  ship (hi + 1)
 
-let read_unit_result path =
-  match Runner.read_framed ~kind:unit_kind path with
-  | None -> None
-  | Some payload -> (
-      match (Marshal.from_string payload 0 : acc * int) with
-      | v -> Some v
-      | exception (Failure _ | Invalid_argument _) -> None)
+let unit_of_payload payload =
+  match (Marshal.from_string payload 0 : acc * int) with
+  | v -> Some v
+  | exception (Failure _ | Invalid_argument _) -> None
 
 (* --- checkpoint --------------------------------------------------------------- *)
 
@@ -407,13 +406,13 @@ let hangs_in_fork ~oracle ~hang_timeout_s prog =
 
 (* --- the supervisor ----------------------------------------------------------- *)
 
+type shard = { s_w : Runner.worker; s_slot : int (* its heartbeat slot *) }
+
 type running = {
   r_u : ustate;
-  r_child : Runner.child;
+  r_shard : shard;
   r_started : float;
-  r_result : string;
-  r_stderr : string;
-  r_slot : int;  (* its heartbeat slot *)
+  mutable r_partial : (acc * int) option;  (* a drained shard's last reply *)
   mutable r_term_sent : bool;
   mutable r_hang_killed : bool;
 }
@@ -452,10 +451,11 @@ let run cfg ~lo ~hi =
   let g_sim_skipped = ref 0 in
   let g_states = ref 0 in
   let prior_poison = ref [] in
-  let poisons = ref [] in
+  let poisons = ref [] in  (* newest first *)
   let ready : ustate Queue.t = Queue.create () in
-  let delayed : ustate list ref = ref [] in
+  let delayed : ustate list ref = ref [] in  (* newest first *)
   let running : running list ref = ref [] in
+  let idle : shard list ref = ref [] in
   (* Resume (restores the pending frontiers) or a fresh unit plan. *)
   (match cfg.resume with
   | None ->
@@ -529,7 +529,7 @@ let run cfg ~lo ~hi =
     output_char out_ch '\n';
     flush out_ch
   in
-  (* Scratch area for result and stderr files. *)
+  (* Scratch area for the heartbeat mapping and stderr captures. *)
   let scratch =
     let d =
       Filename.concat
@@ -560,15 +560,10 @@ let run cfg ~lo ~hi =
   in
   let conns : conn list ref = ref [] in
   (* Signals: first SIGTERM/SIGINT flips the drain flag and wakes the
-     loop; EPIPE from a vanished stats client must be an error code, not
-     a signal. *)
+     loop; EPIPE from a vanished stats client or an idle shard's death
+     is an error code, not a signal ([Runner.wake_on_drain]). *)
   let drain = ref false in
-  let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let wake = Runner.wake_on_drain drain in
-  let restore_signals () =
-    Sys.set_signal Sys.sigpipe old_pipe;
-    Runner.restore wake
-  in
   let budget =
     Budget.create ?deadline_s:cfg.deadline_s ?mem_bytes:cfg.mem_budget ()
   in
@@ -586,7 +581,7 @@ let run cfg ~lo ~hi =
   in
   let pending_units () =
     List.of_seq (Queue.to_seq ready)
-    @ !delayed
+    @ List.rev !delayed
     @ List.map (fun r -> r.r_u) !running
   in
   (* A state change sets [ckpt_dirty]; the loop writes at most every
@@ -621,7 +616,7 @@ let run cfg ~lo ~hi =
               k_states = !g_states;
               k_poison =
                 !prior_poison
-                @ List.map (fun p -> (p.p_seed, p.p_reason, p.p_attempts)) !poisons;
+                @ List.rev_map (fun p -> (p.p_seed, p.p_reason, p.p_attempts)) !poisons;
             }
         end
   in
@@ -715,7 +710,7 @@ let run cfg ~lo ~hi =
         p_report = report;
       }
     in
-    poisons := !poisons @ [ p ];
+    poisons := p :: !poisons;
     cfg.log
       (Printf.sprintf "POISON seed %d after %d attempt(s): %s%s" seed
          u.u_attempts reason
@@ -733,7 +728,7 @@ let run cfg ~lo ~hi =
   let requeue u ~reason now =
     incr units_requeued;
     u.u_eligible_at <- now +. backoff_of u;
-    delayed := !delayed @ [ u ];
+    delayed := u :: !delayed;
     if cfg.verbose then
       cfg.log
         (Printf.sprintf "retrying unit %s (attempt %d/%d: %s)" (ukey u)
@@ -748,7 +743,7 @@ let run cfg ~lo ~hi =
   let bisect r ~suspect_attempts now =
     let u = r.r_u in
     let suspect =
-      match beat_seed beats r.r_slot with
+      match beat_seed beats r.r_shard.s_slot with
       | s when s >= u.u_frontier && s <= u.u_hi -> s
       | _ -> u.u_frontier
     in
@@ -802,7 +797,7 @@ let run cfg ~lo ~hi =
       poison_unit su ~reason:hang_reason ~ms:((now -. r.r_started) *. 1000.)
     else begin
       su.u_eligible_at <- now +. backoff_of su;
-      delayed := !delayed @ [ su ]
+      delayed := su :: !delayed
     end
   in
   let attempt_failed r ~reason now =
@@ -821,23 +816,11 @@ let run cfg ~lo ~hi =
     let u = r.r_u in
     let ms = (now -. r.r_started) *. 1000. in
     match status with
-    | Unix.WEXITED 0 -> (
-        match read_unit_result r.r_result with
-        | Some (a, next) when next > u.u_hi ->
-            merge u a next;
-            finalize u ~ms
-        | Some _ ->
-            attempt_failed r ~reason:"shard exited 0 before finishing its unit"
-              now
-        | None ->
-            attempt_failed r
-              ~reason:"shard exited 0 but left no valid result file" now)
     | Unix.WEXITED 9 ->
-        (* Drained at a seed boundary: merge the partial frontier and
-           keep the unit pending — it lands in the checkpoint. *)
-        (match read_unit_result r.r_result with
-        | Some (a, next) -> merge u a next
-        | None -> ());
+        (* Drained at a seed boundary: merge the partial frontier the
+           shard replied with and keep the unit pending — it lands in
+           the checkpoint. *)
+        Option.iter (fun (a, next) -> merge u a next) r.r_partial;
         if cfg.verbose then
           cfg.log
             (Printf.sprintf "unit %s drained at seed %d" (ukey u) u.u_frontier);
@@ -850,49 +833,98 @@ let run cfg ~lo ~hi =
         attempt_failed r
           ~reason:("shard killed by " ^ Runner.signal_name s)
           now
-    | Unix.WSTOPPED _ ->
-        (try Unix.kill r.r_child.Runner.pid Sys.sigkill
-         with Unix.Unix_error _ -> ());
+    | Unix.WSTOPPED _ -> (* not requested (no WUNTRACED) *)
         attempt_failed r ~reason:"shard stopped unexpectedly" now
   in
-  let spawn u =
-    let key = ukey u in
-    let path ext = Filename.concat scratch (Printf.sprintf "u%s.%s" key ext) in
-    let rp = path "result" and sp = path "stderr" in
-    (try Sys.remove rp with Sys_error _ -> ());
-    let oracle = cfg.oracle and wedge_seeds = cfg.wedge_seeds in
-    let frontier = u.u_frontier and uhi = u.u_hi in
-    (* At most [cfg.shards] run, so a slot is always free. *)
+  (* A whole unit's reply frees the shard; a partial one comes only from
+     a drained shard, which exits 9 next. *)
+  let on_event r ev now =
+    match ev with
+    | Runner.Nothing -> true
+    | Runner.Reply payload -> (
+        match unit_of_payload payload with
+        | Some (a, next) when next > r.r_u.u_hi ->
+            idle := r.r_shard :: !idle;
+            merge r.r_u a next;
+            finalize r.r_u ~ms:((now -. r.r_started) *. 1000.);
+            false
+        | Some partial ->
+            r.r_partial <- Some partial;
+            true
+        | None ->
+            Runner.kill r.r_shard.s_w;
+            attempt_failed r ~reason:"shard reply does not unmarshal" now;
+            false)
+    | Runner.Died status ->
+        handle_exit r status now;
+        false
+    | Runner.Corrupt ->
+        attempt_failed r ~reason:"shard reply failed its CRC or kind" now;
+        false
+  in
+  let stderr_path key = Filename.concat scratch (Printf.sprintf "u%s.stderr" key) in
+  let shards () = !idle @ List.map (fun r -> r.r_shard) !running in
+  (* A shard keeps its slot for life; a new one takes the lowest free. *)
+  let fork () =
     let slot =
       let rec free i =
-        if List.exists (fun r -> r.r_slot = i) !running then free (i + 1) else i
+        if List.exists (fun s -> s.s_slot = i) (shards ()) then free (i + 1)
+        else i
       in
       free 0
     in
-    (* No seed yet; the hang budget runs from the fork. *)
-    beat beats slot (-1);
     flush out_ch;
-    let child =
-      Runner.fork_watched
-        (shard_body ~oracle ~wedge_seeds ~result:rp ~stderr:sp ~frontier
-           ~hi:uhi ~key ~beat:(beat beats slot))
+    let w =
+      Runner.fork_persistent ~kind:unit_kind
+        ~close:
+          (Option.to_list listen_fd @ List.map (fun c -> c.n_fd) !conns)
+        ~siblings:(List.map (fun s -> s.s_w) (shards ()))
+        (shard_unit ~oracle:cfg.oracle ~wedge_seeds:cfg.wedge_seeds
+           ~stderr:stderr_path ~beat:(beat beats slot))
     in
+    if cfg.verbose then
+      cfg.log (Printf.sprintf "shard %d forked into slot %d" w.Runner.pid slot);
+    { s_w = w; s_slot = slot }
+  in
+  (* The parent beats [-1] before the request goes out, so the hang
+     budget runs from the dispatch.  A shard that died idle fails its
+     send; that costs the unit no attempt, only a fresh fork. *)
+  let rec dispatch req =
+    let s, fresh =
+      match !idle with
+      | [] -> (fork (), true)
+      | s :: rest ->
+          idle := rest;
+          (s, false)
+    in
+    beat beats s.s_slot (-1);
+    if Runner.send s.s_w req || fresh then s
+    else begin
+      ignore (Runner.retire s.s_w : Unix.process_status);
+      dispatch req
+    end
+  in
+  let spawn u =
+    let key = ukey u in
+    let s = dispatch (Marshal.to_string (u.u_frontier, u.u_hi, key) []) in
     if cfg.verbose then
       cfg.log
         (Printf.sprintf "shard %d started unit %s at seed %d (attempt %d/%d)"
-           child.Runner.pid key frontier (u.u_attempts + 1) cfg.retries);
+           s.s_w.Runner.pid key u.u_frontier (u.u_attempts + 1) cfg.retries);
     running :=
       {
         r_u = u;
-        r_child = child;
+        r_shard = s;
         r_started = Unix.gettimeofday ();
-        r_result = rp;
-        r_stderr = sp;
-        r_slot = slot;
+        r_partial = None;
         r_term_sent = false;
         r_hang_killed = false;
       }
       :: !running
+  in
+  let retire_idle () =
+    List.iter (fun s -> ignore (Runner.retire s.s_w : Unix.process_status)) !idle;
+    idle := []
   in
   (* --- stats socket ----------------------------------------------------------- *)
   let stats_json () =
@@ -1032,7 +1064,7 @@ let run cfg ~lo ~hi =
       List.fold_left
         (fun t r ->
           if r.r_hang_killed then t
-          else Float.min t (beat_time beats r.r_slot +. cfg.hang_timeout_s))
+          else Float.min t (beat_time beats r.r_shard.s_slot +. cfg.hang_timeout_s))
         infinity !running
     in
     let t = List.fold_left (fun t u -> Float.min t u.u_eligible_at) t !delayed in
@@ -1059,21 +1091,23 @@ let run cfg ~lo ~hi =
     in
     let rs, ws =
       Runner.sleep_until wake (next_deadline ())
-        (socket_fds @ List.map (fun r -> r.r_child.Runner.fd) !running)
+        (socket_fds @ List.map (fun s -> s.s_w.Runner.rsp) (shards ()))
         wfds
     in
     let now = Unix.gettimeofday () in
+    let spoke (w : Runner.worker) = List.mem w.rsp rs in
+    idle :=
+      List.filter
+        (fun s -> (not (spoke s.s_w)) || Runner.idle_alive s.s_w)
+        !idle;
     running :=
       List.filter
         (fun r ->
-          (not (List.mem r.r_child.Runner.fd rs))
+          (not (spoke r.r_shard.s_w))
           ||
-          match Runner.read_child r.r_child with
-          | None -> true
-          | Some status ->
-              ckpt_dirty := true;
-              handle_exit r status now;
-              false)
+          let keep = on_event r (Runner.receive r.r_shard.s_w) now in
+          if not keep then ckpt_dirty := true;
+          keep)
         !running;
     (match listen_fd with
     | Some lfd when List.mem lfd rs -> accept_conns lfd
@@ -1091,7 +1125,11 @@ let run cfg ~lo ~hi =
   (* --- the event loop --------------------------------------------------------- *)
   let drain_announced = ref false in
   let finally () =
-    restore_signals ();
+    (* No shard outlives the campaign: idle ones exit on EOF, and busy
+       ones (left only by an exception) are killed. *)
+    retire_idle ();
+    List.iter (fun r -> Runner.kill r.r_shard.s_w) !running;
+    Runner.restore wake;
     List.iter close_conn !conns;
     (match listen_fd with
     | Some fd -> (
@@ -1128,11 +1166,12 @@ let run cfg ~lo ~hi =
            cfg.log "fleet memory budget reached; draining"
          end
        end;
-       (* Drain: forward SIGTERM once to every in-flight shard; shards
-          stop at the next seed boundary.  The watchdog below stays
-          armed — a wedged shard ignores SIGTERM and only SIGKILL (with
-          its deterministic bisection) resolves it. *)
+       (* Drain: EOF to the idle shards, and SIGTERM once to every busy
+          one; busy shards stop at the next seed boundary.  The watchdog
+          below stays armed — a wedged shard ignores SIGTERM and only
+          SIGKILL (with its deterministic bisection) resolves it. *)
        if !drain then begin
+         retire_idle ();
          if not !drain_announced then begin
            drain_announced := true;
            cfg.log
@@ -1144,7 +1183,7 @@ let run cfg ~lo ~hi =
            (fun r ->
              if not r.r_term_sent then begin
                r.r_term_sent <- true;
-               try Unix.kill r.r_child.Runner.pid Sys.sigterm
+               try Unix.kill r.r_shard.s_w.Runner.pid Sys.sigterm
                with Unix.Unix_error _ -> ()
              end)
            !running
@@ -1155,19 +1194,19 @@ let run cfg ~lo ~hi =
          (fun r ->
            if
              (not r.r_hang_killed)
-             && now -. beat_time beats r.r_slot > cfg.hang_timeout_s
+             && now -. beat_time beats r.r_shard.s_slot > cfg.hang_timeout_s
            then begin
              r.r_hang_killed <- true;
-             try Unix.kill r.r_child.Runner.pid Sys.sigkill
+             try Unix.kill r.r_shard.s_w.Runner.pid Sys.sigkill
              with Unix.Unix_error _ -> ()
            end)
          !running;
-       (* Promote delayed units whose backoff expired. *)
+       (* Promote delayed units whose backoff expired, oldest first. *)
        let due, later =
          List.partition (fun u -> u.u_eligible_at <= now) !delayed
        in
        delayed := later;
-       List.iter (fun u -> Queue.add u ready) due;
+       List.iter (fun u -> Queue.add u ready) (List.rev due);
        (* Dispatch. *)
        while
          (not !drain)
@@ -1202,7 +1241,7 @@ let run cfg ~lo ~hi =
     f_sim_wedged = !g_sim_wedged;
     f_sim_skipped = !g_sim_skipped;
     f_states = !g_states;
-    f_poison = !poisons;
+    f_poison = List.rev !poisons;
     f_poison_total = List.length !prior_poison + List.length !poisons;
     f_wall_s = Unix.gettimeofday () -. t0;
     f_suspended = !drain && pending > 0;

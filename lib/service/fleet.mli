@@ -9,16 +9,18 @@
     {1 Supervision tree}
 
     The supervisor partitions the seed range into fixed-size {e work
-    units} and keeps at most [shards] workers in flight; each worker is
-    a fork running {!Fuzz.check_seed} over its unit's seeds, one at a
-    time, reporting progress as a heartbeat in its slot of a shared
-    mapping (the seed it is about to check and when it started it; a
-    heartbeat never wakes the supervisor, which learns of exits from
-    {!Runner.fork_watched}'s exit channel) and shipping its accumulated
-    {!Fuzz.seed_report} tallies back in a CRC-framed result file under
-    the {!Runner} worker contract (exit [0] = unit complete, exit [9] =
-    drained at a seed boundary with a partial result, exit [10] /
-    signal = failed attempt).
+    units} and keeps at most [shards] workers in flight.  Each worker is
+    forked once per slot ({!Runner.fork_persistent}) and keeps its
+    heartbeat slot for life.  It takes one unit at a time over its
+    request pipe, runs {!Fuzz.check_seed} over the unit's seeds,
+    reporting progress as a heartbeat in its slot of a shared mapping
+    (the seed it is about to check and when it started it; a heartbeat
+    never wakes the supervisor), and answers with its accumulated
+    {!Fuzz.seed_report} tallies as one CRC-framed reply under the
+    {!Runner} worker contract: a whole unit's reply, then the next unit;
+    a partial reply and exit [9] when drained at a seed boundary; exit
+    [10], a signal or a corrupt reply = failed attempt.  The reply pipe
+    is also the worker's exit channel, and no worker outlives {!run}.
 
     {1 Hang hunting}
 

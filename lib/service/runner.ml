@@ -1,11 +1,12 @@
-(* The shared job-execution layer under both front ends of the service:
-   the one-shot [Batch] supervisor and the long-lived [Daemon].
+(* The shared job-execution layer under the service front ends: the
+   one-shot [Batch] supervisor, the [Fleet] and the long-lived [Daemon].
 
    Everything here is the per-attempt machinery: turning a job into a
-   program plus cache keys, forking the single-verdict worker process,
-   reading back its CRC-framed result file, and rendering the JSONL
-   records both front ends stream.  The scheduling policies (retry
-   queues, fairness, drain) stay with the callers. *)
+   program plus cache keys, the worker processes (persistent workers fed
+   over a request pipe for batch and fleet, a fork per attempt for the
+   daemon), the CRC-framed replies, and the JSONL records the front ends
+   stream.  The scheduling policies (retry queues, fairness, drain) stay
+   with the callers. *)
 
 type exec = {
   x_model : Worker.model;
@@ -58,12 +59,11 @@ let materialize ~model (j : Job.t) =
 
 let result_kind = "weakord.batch.result"
 
-(* The CRC-framed result-file protocol, shared by every forked worker
-   kind (batch/daemon verdict workers and the fleet's shard workers):
-   a child installs its payload atomically under a snapshot kind; the
-   parent accepts it only when the frame validates under that exact
-   kind, so a torn write or a stale file of another kind degrades to a
-   retried attempt, never a wrong result. *)
+(* The CRC-framed result-file protocol of the daemon's per-attempt
+   workers: a child installs its payload atomically under a snapshot
+   kind; the parent accepts it only when the frame validates under that
+   exact kind, so a torn write or a stale file of another kind degrades
+   to a retried attempt, never a wrong result. *)
 let write_framed ~kind ~meta path payload =
   Atomic_io.write_file ~fsync:false path
     (Snapshot.frame ~kind ~meta ~payload)
@@ -137,18 +137,179 @@ let rec wait_exit pid =
   | _, status -> status
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_exit pid
 
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
 let reap c =
-  (try Unix.close c.fd with Unix.Unix_error _ -> ());
+  close_quietly c.fd;
   wait_exit c.pid
 
-(* Supervisors are single-threaded; one scratch buffer serves them all. *)
-let chunk = Bytes.create 64
+(* --- persistent workers ------------------------------------------------------- *)
 
-let read_child c =
-  match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-  | 0 -> Some (reap c)
-  | _ -> None
-  | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> None
+type worker = {
+  pid : int;
+  req : Unix.file_descr;
+  rsp : Unix.file_descr;
+  kind : string;
+  inbox : Buffer.t;
+  mutable reaped : Unix.process_status option;
+}
+
+(* Both directions carry length-prefixed messages: eight hex digits,
+   then the bytes.  Requests are the caller's own strings; replies are
+   [Snapshot.frame]s, so a reply is checked by CRC and kind before the
+   parent trusts it. *)
+let header = 8
+
+let rec write_all fd s off =
+  if off < String.length s then
+    match Unix.single_write_substring fd s off (String.length s - off) with
+    | n -> write_all fd s (off + n)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off
+
+let write_message fd s =
+  write_all fd (Printf.sprintf "%08x" (String.length s) ^ s) 0
+
+(* Blocking, in the child: [None] at EOF, which is how the parent says
+   it has no more work. *)
+let read_message fd =
+  let rec fill b off =
+    off = Bytes.length b
+    ||
+    match Unix.read fd b off (Bytes.length b - off) with
+    | 0 -> false
+    | n -> fill b (off + n)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill b off
+  in
+  let h = Bytes.create header in
+  if not (fill h 0) then None
+  else
+    match int_of_string_opt ("0x" ^ Bytes.to_string h) with
+    | None -> None
+    | Some len ->
+        let b = Bytes.create len in
+        if fill b 0 then Some (Bytes.unsafe_to_string b) else None
+
+let fork_persistent ~kind ?(close = []) ~siblings serve =
+  let req_rd, req_wr = Unix.pipe ~cloexec:true () in
+  let rsp_rd, rsp_wr = Unix.pipe ~cloexec:true () in
+  match
+    fork_worker (fun () ->
+        (* Nothing execs, so the child inherits every descriptor the
+           parent holds.  A sibling's request write end kept here would
+           keep that sibling from ever reading EOF. *)
+        List.iter close_quietly (req_wr :: rsp_rd :: close);
+        List.iter
+          (fun (s : worker) ->
+            close_quietly s.req;
+            close_quietly s.rsp)
+          siblings;
+        let cancelled = ref false in
+        Sys.set_signal Sys.sigterm
+          (Sys.Signal_handle (fun _ -> cancelled := true));
+        Sys.set_signal Sys.sigint Sys.Signal_ignore;
+        let reply payload =
+          write_message rsp_wr (Snapshot.frame ~kind ~meta:"" ~payload)
+        in
+        let rec loop () =
+          (* Reset before the read, not after it: a SIGTERM sent once
+             the request is on its way must still cancel that job. *)
+          cancelled := false;
+          match read_message req_rd with
+          | None -> ()
+          | Some r ->
+              serve ~cancelled:(fun () -> !cancelled) ~reply r;
+              loop ()
+        in
+        loop ())
+  with
+  | pid ->
+      Unix.close req_rd;
+      Unix.close rsp_wr;
+      Unix.set_nonblock rsp_rd;
+      {
+        pid;
+        req = req_wr;
+        rsp = rsp_rd;
+        kind;
+        inbox = Buffer.create 256;
+        reaped = None;
+      }
+  | exception e ->
+      List.iter close_quietly [ req_rd; req_wr; rsp_rd; rsp_wr ];
+      raise e
+
+let send (w : worker) r =
+  match write_message w.req r with
+  | () -> true
+  | exception Unix.Unix_error _ -> false
+
+(* Idempotent: a second call must neither close descriptor numbers the
+   process may have reused nor wait for a pid it no longer owns. *)
+let retire (w : worker) =
+  match w.reaped with
+  | Some status -> status
+  | None ->
+      close_quietly w.req;
+      close_quietly w.rsp;
+      let status = wait_exit w.pid in
+      w.reaped <- Some status;
+      status
+
+let kill (w : worker) =
+  if Option.is_none w.reaped then begin
+    (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+    ignore (retire w : Unix.process_status)
+  end
+
+type event = Reply of string | Nothing | Died of Unix.process_status | Corrupt
+
+(* Supervisors are single-threaded; one scratch buffer serves them all.
+   Allocated on first use, so a process that never supervises a worker
+   (the CLI's other commands, the benchmark's other workloads) does not
+   carry it in its heap. *)
+let chunk = lazy (Bytes.create 4096)
+
+(* A complete message in the inbox, if one has arrived. *)
+let take_frame (w : worker) =
+  let b = w.inbox in
+  let have = Buffer.length b in
+  if have < header then `Wait
+  else
+    match int_of_string_opt ("0x" ^ Buffer.sub b 0 header) with
+    | None -> `Bad
+    | Some len when have < header + len -> `Wait
+    | Some len -> (
+        let frame = Buffer.sub b header len in
+        let rest = Buffer.sub b (header + len) (have - header - len) in
+        Buffer.clear b;
+        Buffer.add_string b rest;
+        match Snapshot.unframe frame with
+        | Ok c when String.equal c.Snapshot.kind w.kind -> `Frame c.Snapshot.payload
+        | _ -> `Bad)
+
+let receive (w : worker) =
+  let chunk = Lazy.force chunk in
+  match Unix.read w.rsp chunk 0 (Bytes.length chunk) with
+  | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> Nothing
+  | 0 ->
+      (* Whatever part of a frame arrived is dropped with the worker. *)
+      Died (retire w)
+  | n -> (
+      Buffer.add_subbytes w.inbox chunk 0 n;
+      match take_frame w with
+      | `Wait -> Nothing
+      | `Frame payload -> Reply payload
+      | `Bad ->
+          kill w;
+          Corrupt)
+
+let idle_alive w =
+  match receive w with
+  | Nothing -> true
+  | Died _ | Corrupt -> false
+  | Reply _ ->
+      kill w;
+      false
 
 (* --- waking the supervisor --------------------------------------------------- *)
 
@@ -157,6 +318,7 @@ type wake = {
   w_wr : Unix.file_descr;
   w_term : Sys.signal_behavior;
   w_int : Sys.signal_behavior;
+  w_pipe : Sys.signal_behavior;
 }
 
 let wake_on_drain drain =
@@ -173,13 +335,17 @@ let wake_on_drain drain =
   in
   let w_term = Sys.signal Sys.sigterm (Sys.Signal_handle handler) in
   let w_int = Sys.signal Sys.sigint (Sys.Signal_handle handler) in
-  { w_rd = rd; w_wr = wr; w_term; w_int }
+  (* A request to a worker that died idle, or a write to a vanished
+     stats client, must be an error code, not a process-killing signal. *)
+  let w_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  { w_rd = rd; w_wr = wr; w_term; w_int; w_pipe }
 
 let restore w =
   Sys.set_signal Sys.sigterm w.w_term;
   Sys.set_signal Sys.sigint w.w_int;
-  (try Unix.close w.w_rd with Unix.Unix_error _ -> ());
-  try Unix.close w.w_wr with Unix.Unix_error _ -> ()
+  Sys.set_signal Sys.sigpipe w.w_pipe;
+  close_quietly w.w_rd;
+  close_quietly w.w_wr
 
 let sleep_until w until rfds wfds =
   (* The 1 s cap is only a backstop.  OCaml runs a signal handler at a
@@ -205,13 +371,12 @@ let sleep_until w until rfds wfds =
       (List.filter (fun fd -> fd <> w.w_rd) rs, ws)
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
 
-(* Runs in the child.  Never returns; never flushes the parent's
-   buffered channels ([Unix._exit], not [exit]). *)
-let child_exec x ~result_path ~stderr_path (j : Job.t) mat =
-  let cancelled = ref false in
-  Sys.set_signal Sys.sigterm
-    (Sys.Signal_handle (fun _ -> cancelled := true));
-  Sys.set_signal Sys.sigint Sys.Signal_ignore;
+(* --- one attempt at a job ------------------------------------------------------ *)
+
+(* Runs in a worker.  Returns the verdict, or ends the process as the
+   exit-status contract says: 9 when cancelled, 10 when the engine
+   raised; a wedge job spins until a signal ends it. *)
+let attempt x ~cancelled ~stderr_path (j : Job.t) mat =
   redirect_stderr stderr_path;
   match j.Job.source with
   | Job.Wedge ->
@@ -219,7 +384,7 @@ let child_exec x ~result_path ~stderr_path (j : Job.t) mat =
          supervisor's SIGKILL (timeout) or SIGTERM (drain) lands. *)
       prerr_string (Printf.sprintf "job %d: wedged on purpose\n" j.Job.id);
       flush Stdlib.stderr;
-      while not !cancelled do
+      while not (cancelled ()) do
         (try Unix.sleepf 0.02 with Unix.Unix_error _ -> ())
       done;
       Unix._exit 9
@@ -240,34 +405,46 @@ let child_exec x ~result_path ~stderr_path (j : Job.t) mat =
           x.x_spill_dir
       in
       match
-        Worker.run
-          ~cancel:(fun () -> !cancelled)
-          ?fuel:x.x_fuel ?spill_dir ?mem_budget:x.x_mem_budget
-          ~model:x.x_model ~machine prog
+        Worker.run ~cancel:cancelled ?fuel:x.x_fuel ?spill_dir
+          ?mem_budget:x.x_mem_budget ~model:x.x_model ~machine prog
       with
-      | Ok v ->
-          write_framed ~kind:result_kind
-            ~meta:(string_of_int j.Job.id)
-            result_path
-            (Marshal.to_string v []);
-          Unix._exit 0
+      | Ok v -> v
       | Error `Cancelled -> Unix._exit 9
       | exception e ->
           prerr_string ("worker exception: " ^ Printexc.to_string e ^ "\n");
           flush Stdlib.stderr;
           Unix._exit 10)
 
+let verdict_of_payload payload =
+  match (Marshal.from_string payload 0 : Verdict_cache.verdict) with
+  | v -> Some v
+  | exception (Failure _ | Invalid_argument _) -> None
+
+let fork_job_worker x ~siblings lookup =
+  fork_persistent ~kind:result_kind ~siblings (fun ~cancelled ~reply id ->
+      let j, mat, stderr_path = lookup (int_of_string id) in
+      reply (Marshal.to_string (attempt x ~cancelled ~stderr_path j mat) []))
+
+(* The daemon's per-attempt worker.  Never returns; never flushes the
+   parent's buffered channels ([Unix._exit], not [exit]). *)
+let child_exec x ~result_path ~stderr_path (j : Job.t) mat =
+  let cancelled = ref false in
+  Sys.set_signal Sys.sigterm
+    (Sys.Signal_handle (fun _ -> cancelled := true));
+  Sys.set_signal Sys.sigint Sys.Signal_ignore;
+  let v = attempt x ~cancelled:(fun () -> !cancelled) ~stderr_path j mat in
+  write_framed ~kind:result_kind
+    ~meta:(string_of_int j.Job.id)
+    result_path
+    (Marshal.to_string v []);
+  Unix._exit 0
+
 let spawn x ~result_path ~stderr_path j mat =
   (try Sys.remove result_path with Sys_error _ -> ());
   fork_watched (fun () -> child_exec x ~result_path ~stderr_path j mat)
 
 let read_result path =
-  match read_framed ~kind:result_kind path with
-  | None -> None
-  | Some payload -> (
-      match (Marshal.from_string payload 0 : Verdict_cache.verdict) with
-      | v -> Some v
-      | exception (Failure _ | Invalid_argument _) -> None)
+  Option.bind (read_framed ~kind:result_kind path) verdict_of_payload
 
 let read_tail ?(max_bytes = 2048) path =
   match In_channel.with_open_bin path In_channel.input_all with

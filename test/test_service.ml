@@ -539,13 +539,8 @@ let test_exit_channel_siblings () =
     ignore (kill_wedged ());
     Alcotest.fail "the quick child's exit channel stayed silent"
   end;
-  let rec until_exit () =
-    match Runner.read_child quick with
-    | Some st -> st
-    | None -> until_exit ()
-  in
   check "the quick child is reaped with status 0" true
-    (until_exit () = Unix.WEXITED 0);
+    (Runner.reap quick = Unix.WEXITED 0);
   let still_alive = alive wedged.Runner.pid in
   check "the wedged sibling dies by SIGKILL" true
     (kill_wedged () = Unix.WSIGNALED Sys.sigkill);
@@ -652,11 +647,165 @@ let test_exit_channel_raising_child () =
         Runner.redirect_stderr "/dev/null";
         failwith "engine raised")
   in
-  let rec until_exit () =
-    ignore (Unix.select [ c.Runner.fd ] [] [] 5. : _ * _ * _);
-    match Runner.read_child c with Some st -> st | None -> until_exit ()
+  ignore (Unix.select [ c.Runner.fd ] [] [] 5. : _ * _ * _);
+  check "a raising child exits 10" true (Runner.reap c = Unix.WEXITED 10)
+
+(* --- persistent workers ------------------------------------------------------- *)
+
+(* Fails unless this process has no child left, zombie or alive. *)
+let no_children what =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | 0, _ -> Alcotest.failf "%s: a child is still running" what
+  | pid, _ -> Alcotest.failf "%s: child %d outlived its supervisor" what pid
+
+let strip_trailer r =
+  let k = {|,"cached":|} in
+  let n = String.length k in
+  let rec last i =
+    if i < 0 then r else if String.sub r i n = k then String.sub r 0 i else last (i - 1)
   in
-  check "a raising child exits 10" true (until_exit () = Unix.WEXITED 10)
+  last (String.length r - n)
+
+let test_batch_worker_reuse () =
+  (* One worker slot serves every job: a job's verdict must not depend
+     on what the worker ran before it, and a job after a killed wedge
+     must still run, on a re-forked worker. *)
+  let jobs =
+    parse_ok
+      "seeds 0..9 machine=def2\n\
+       seeds 10..14 machine=wbuf\n\
+       wedge\n\
+       seeds 15..19 machine=wbuf\n\
+       seeds 20..29 machine=def2-rs\n"
+  in
+  let out = tmp_path ".jsonl" in
+  let log = ref [] in
+  let s =
+    Batch.run
+      {
+        (batch_cfg out) with
+        workers = 1;
+        timeout_s = 0.3;
+        retries = 2;
+        cache = Verdict_cache.in_memory ();
+        verbose = true;
+        log = (fun l -> log := l :: !log);
+      }
+      jobs
+  in
+  let recs = batch_records out in
+  Sys.remove out;
+  check_int "one record per job" 31 (List.length recs);
+  let by_job = Hashtbl.create 32 in
+  List.iter
+    (fun r ->
+      Scanf.sscanf r {|{"job":%d|} (fun id -> Hashtbl.replace by_job id r))
+    recs;
+  List.iter
+    (fun (j : Job.t) ->
+      let r = Hashtbl.find by_job j.Job.id in
+      match (Runner.materialize ~model:Worker.Drf0 j).Runner.m_prog with
+      | None ->
+          check "the wedge is quarantined by its timeout" true
+            (contains ~sub:{|"status":"quarantined"|} r
+            && contains ~sub:"timeout: SIGKILL" r)
+      | Some (prog, _, _) -> (
+          let machine = Option.get (Machines.find j.Job.machine) in
+          match Worker.run ~model:Worker.Drf0 ~machine prog with
+          | Ok v ->
+              check_string
+                (Printf.sprintf "job %d equals the in-process verdict" j.Job.id)
+                (strip_trailer
+                   (Runner.verdict_record j v ~cached:false ~attempts:1 ~ms:0.))
+                (strip_trailer r)
+          | Error `Cancelled -> Alcotest.fail "in-process run cancelled"))
+    jobs;
+  check_int "completed with quarantine" 4 (Batch.exit_code s);
+  let pids =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun l -> Scanf.sscanf_opt l "worker %d started" Fun.id)
+         !log)
+  in
+  let failed = (List.hd s.Batch.quarantined).Batch.q_attempts in
+  check_int "two failed attempts, both the wedge's" 2 failed;
+  check "at most one worker per failed attempt, plus the first" true
+    (List.length pids <= 1 + failed);
+  no_children "batch, normal finish"
+
+let test_no_process_outlives () =
+  let jobs = parse_ok "machine def2\nseeds 0..3\nwedge\nseeds 4..7\n" in
+  let out = tmp_path ".jsonl" in
+  let base = { (batch_cfg out) with cache = Verdict_cache.in_memory () } in
+  let s = Batch.run { base with timeout_s = 0.2; retries = 1 } jobs in
+  check_int "the wedge is timed out" 1 s.Batch.quarantined_total;
+  no_children "batch, after a timeout kill";
+  (* The drain finds one worker wedged and the other idle. *)
+  let s =
+    Batch.run
+      {
+        base with
+        cache = Verdict_cache.in_memory ();
+        timeout_s = 30.;
+        deadline_s = Some 0.3;
+      }
+      jobs
+  in
+  check "suspended" true s.Batch.suspended;
+  no_children "batch, after a deadline drain";
+  Sys.remove out;
+  let s =
+    Fleet.run
+      {
+        Fleet.default_cfg with
+        Fleet.shards = 2;
+        unit_seeds = 5;
+        wedge_seeds = [ 3 ];
+        hang_timeout_s = 0.3;
+        retries = 1;
+        backoff_ms = 10;
+        out = Some out;
+      }
+      ~lo:0 ~hi:9
+  in
+  Sys.remove out;
+  check_int "the hang bisects" 1 s.Fleet.f_units_split;
+  no_children "fleet, after a hang bisection"
+
+let test_idle_worker_exits_beside_a_wedge () =
+  (* The wedged worker is forked second, so it inherits the idle one's
+     request write end: unless it closes it, closing the idle worker's
+     request pipe never reaches EOF. *)
+  let kind = "weakord.test.echo" in
+  let idle =
+    Runner.fork_persistent ~kind ~siblings:[] (fun ~cancelled:_ ~reply r ->
+        reply r)
+  in
+  let wedged =
+    Runner.fork_persistent ~kind ~siblings:[ idle ] (fun ~cancelled:_ ~reply:_ _ ->
+        while true do
+          try Unix.sleepf 1. with Unix.Unix_error _ -> ()
+        done)
+  in
+  let rec await (w : Runner.worker) =
+    match Unix.select [ w.rsp ] [] [] 5. with
+    | [], _, _ -> None
+    | _ -> ( match Runner.receive w with Runner.Nothing -> await w | e -> Some e)
+  in
+  check "the idle worker answers" true
+    (Runner.send idle "ping" && await idle = Some (Runner.Reply "ping"));
+  check "the wedge takes its job" true (Runner.send wedged "spin");
+  Unix.close idle.Runner.req;
+  let ev = await idle in
+  Runner.kill wedged;
+  match ev with
+  | Some (Runner.Died st) ->
+      check "the idle worker exits 0 on EOF" true (st = Unix.WEXITED 0);
+      no_children "persistent workers"
+  | _ ->
+      Runner.kill idle;
+      Alcotest.fail "the idle worker never saw EOF beside its wedged sibling"
 
 let test_job_profile_opt () =
   let jobs = parse_ok "seed 4 profile=wide\n" in
@@ -732,4 +881,10 @@ let suite =
         test_fleet_hang_convicts_the_seed;
       Alcotest.test_case "exit channel: a raising child exits 10" `Quick
         test_exit_channel_raising_child;
+      Alcotest.test_case "batch: one reused worker equals in-process verdicts"
+        `Quick test_batch_worker_reuse;
+      Alcotest.test_case "batch and fleet leave no child process" `Quick
+        test_no_process_outlives;
+      Alcotest.test_case "persistent: an idle worker exits beside a wedge"
+        `Quick test_idle_worker_exits_beside_a_wedge;
     ] )
