@@ -159,7 +159,8 @@ let spill_dir_flag =
            missing; stale runs in it are removed. $(b,verify) keeps it \
            after the run, so a checkpoint that names its runs resumes \
            with the same $(b,--spill-dir); $(b,batch) and $(b,serve) \
-           give each job its own subdirectory.")
+           give each job attempt its own subdirectory and remove it when \
+           the attempt ends.")
 
 let checkpoint_flag =
   Arg.(
@@ -877,11 +878,7 @@ let faults_cmd =
       let profile = Fault.scale profile ~permille:intensity in
       while !pi < nprog do
         let prog = progs_a.(!pi) in
-        let drf0 =
-          match Drf.check ~model:Drf.DRF0 prog with
-          | Ok () -> true
-          | Error _ -> false
-        in
+        let drf0 = Drf.obeys ~model:Drf.DRF0 prog in
         while !di < seeds do
           (* Safe point before each run: suspend cleanly at the deadline
              with a checkpoint pointing at this exact (scenario, program,

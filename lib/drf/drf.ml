@@ -61,7 +61,27 @@ let races ?(model = DRF0) prog =
 let check ?(model = DRF0) prog =
   match races ~model prog with [] -> Ok () | rs -> Error rs
 
-let obeys ?(model = DRF0) prog = races ~model prog = []
+(* Every execution's so is a subset of [Hb.so_all], and hb grows with so,
+   so a candidate unordered under [Hb.so_all] is a race in every complete
+   execution: without branches, each one performs every static event.
+   Such a program obeys iff it has no complete execution, which only
+   blocking instructions can prevent.  Otherwise the sync-order search
+   decides, stopping at the first racy order. *)
+let obeys ?(model = DRF0) prog =
+  let evts = Evts.of_prog prog in
+  let candidates = race_candidates evts in
+  let racy so =
+    let hb = hb_of_model model evts ~so in
+    List.exists (fun (a, b) -> not (Hb.ordered hb a b)) candidates
+  in
+  if racy (Hb.so_all evts) then
+    List.exists (List.exists Instr.is_blocking) (Prog.threads prog)
+    && Final.Set.is_empty (Sc.outcomes prog)
+  else
+    not
+      (List.exists
+         (fun tuple -> racy (Sync_orders.to_so evts tuple))
+         (Sync_orders.feasible prog))
 
 (* --- per-execution checking (Figure 2 style) ----------------------------- *)
 

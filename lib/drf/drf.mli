@@ -27,7 +27,13 @@ val races : ?model:model -> Prog.t -> race list
     pair may be reported once per witnessing order). *)
 
 val check : ?model:model -> Prog.t -> (unit, race list) result
+(** [Ok ()] iff {!races} is empty: the reference path and witness
+    reporter. *)
+
 val obeys : ?model:model -> Prog.t -> bool
+(** [obeys p = (races p = [])], decided without the sync-order search when
+    some candidate pair is unordered even under every sync order at once
+    ({!Hb.so_all}), and otherwise stopping at the first racy order. *)
 
 val races_of_trace :
   ?model:model -> Evts.t -> int list -> (Event.t * Event.t) list

@@ -10,11 +10,9 @@
    trace from the SC interleaver) or by a choice of per-location sync
    orders (see {!Sync_orders}), which is all hb depends on. *)
 
-let so_of_trace evts trace =
-  let n = Evts.size evts in
-  (* Position of each event in the completion order. *)
-  let pos = Array.make n max_int in
-  List.iteri (fun i e -> pos.(e) <- i) trace;
+(* Same-location pairs of distinct synchronization operations that [keep]
+   orders. *)
+let so_where evts keep =
   let pairs = ref [] in
   List.iter
     (fun loc ->
@@ -22,12 +20,19 @@ let so_of_trace evts trace =
       List.iter
         (fun a ->
           List.iter
-            (fun b ->
-              if a <> b && pos.(a) < pos.(b) then pairs := (a, b) :: !pairs)
+            (fun b -> if a <> b && keep a b then pairs := (a, b) :: !pairs)
             syncs)
         syncs)
     (Evts.locations evts);
-  Rel.of_list n !pairs
+  Rel.of_list (Evts.size evts) !pairs
+
+let so_of_trace evts trace =
+  (* Position of each event in the completion order. *)
+  let pos = Array.make (Evts.size evts) max_int in
+  List.iteri (fun i e -> pos.(e) <- i) trace;
+  so_where evts (fun a b -> pos.(a) < pos.(b))
+
+let so_all evts = so_where evts (fun _ _ -> true)
 
 let hb evts ~so = Closure.transitive_closure (Rel.union (Evts.po evts) so)
 

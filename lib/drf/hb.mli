@@ -5,6 +5,10 @@ val so_of_trace : Evts.t -> int list -> Rel.t
     order of event ids): same-location synchronization operations, ordered
     as they complete. *)
 
+val so_all : Evts.t -> Rel.t
+(** Every ordered pair of distinct same-location synchronization
+    operations, both ways round: a superset of every execution's so. *)
+
 val hb : Evts.t -> so:Rel.t -> Rel.t
 (** [(po ∪ so)+]. *)
 

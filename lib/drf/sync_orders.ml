@@ -22,6 +22,16 @@ module Tuple_set = Set.Make (struct
   let compare = compare
 end)
 
+(* The default [Hashtbl.hash] reads only the first ten nodes of a key, so
+   states that differ past them share a bucket; [Sem.key_hash] reads
+   deeper. *)
+module Memo = Hashtbl.Make (struct
+  type t = Sem.key
+
+  let hash = Sem.key_hash
+  let equal = Sem.key_equal
+end)
+
 let empty_tuple sync_locs = List.map (fun l -> (l, [])) sync_locs
 
 let prepend loc e tuple =
@@ -35,10 +45,10 @@ let feasible prog =
     Array.init (Prog.num_threads prog) (fun p ->
         Array.of_list (Evts.by_proc evts p))
   in
-  let memo : (Sem.key, Tuple_set.t) Hashtbl.t = Hashtbl.create 512 in
+  let memo : Tuple_set.t Memo.t = Memo.create 512 in
   let rec explore state =
     let key = Sem.key_of_state state in
-    match Hashtbl.find_opt memo key with
+    match Memo.find_opt memo key with
     | Some res -> res
     | None ->
         let res =
@@ -63,7 +73,7 @@ let feasible prog =
             !acc
           end
         in
-        Hashtbl.add memo key res;
+        Memo.add memo key res;
         res
   in
   Tuple_set.elements (explore (Sem.initial prog))

@@ -394,19 +394,19 @@ let attempt x ~cancelled ~stderr_path (j : Job.t) mat =
       (* Each attempt spills into its own subdirectory: concurrent
          workers must never share run files, and a retry must not trip
          over a killed attempt's leftovers (the store wipes stale runs
-         at creation). *)
+         at creation, and creates the directory and its parents if
+         missing).  The subdirectory goes once the attempt ends. *)
       let spill_dir =
         Option.map
-          (fun d ->
-            let sub = Filename.concat d (Printf.sprintf "job%d" j.Job.id) in
-            (try Unix.mkdir sub 0o755
-             with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-            sub)
+          (fun d -> Filename.concat d (Printf.sprintf "job%d" j.Job.id))
           x.x_spill_dir
       in
       match
-        Worker.run ~cancel:cancelled ?fuel:x.x_fuel ?spill_dir
-          ?mem_budget:x.x_mem_budget ~model:x.x_model ~machine prog
+        Fun.protect
+          ~finally:(fun () -> Option.iter Spill_store.remove_dir spill_dir)
+          (fun () ->
+            Worker.run ~cancel:cancelled ?fuel:x.x_fuel ?spill_dir
+              ?mem_budget:x.x_mem_budget ~model:x.x_model ~machine prog)
       with
       | Ok v -> v
       | Error `Cancelled -> Unix._exit 9

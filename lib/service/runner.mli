@@ -53,7 +53,7 @@ type exec = {
   x_spill_dir : string option;
       (** root for disk-spilled visited stores; each attempt gets a
           private [jobN/] subdirectory so concurrent workers and
-          retries never share run files *)
+          retries never share run files, removed when the attempt ends *)
   x_mem_budget : int option;  (** visited-set memory budget, bytes *)
 }
 (** What a worker needs beyond the job itself.  One value is built per

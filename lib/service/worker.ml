@@ -19,8 +19,8 @@ let model_name = function
 
 let obeys model prog =
   match model with
-  | Drf0 -> Result.is_ok (Drf.check ~model:Drf.DRF0 prog)
-  | Drf1 -> Result.is_ok (Drf.check ~model:Drf.DRF1 prog)
+  | Drf0 -> Drf.obeys ~model:Drf.DRF0 prog
+  | Drf1 -> Drf.obeys ~model:Drf.DRF1 prog
   | Unconstrained -> true
   | No_check -> false
 

@@ -216,6 +216,25 @@ if [ -n "$(ls -A "$tmp/tmpdir")" ]; then
   echo "FAIL: verify --mem-budget left files in \$TMPDIR" >&2
   fails=$((fails + 1))
 fi
+# batch spills each attempt into a jobN subdirectory of --spill-dir,
+# creating the directory if it is missing, and removes the subdirectory
+# once the attempt ends: the spill dir is left empty
+printf 'machine def2\nseeds 0..3\n' > "$tmp/spill_jobs.txt"
+"$WEAKORD" batch "$tmp/spill_jobs.txt" --spill-dir "$tmp/sp" \
+  --mem-budget 2000 -o "$tmp/spill.jsonl" 2>/dev/null
+code=$?
+if [ "$code" -ne 0 ]; then
+  echo "FAIL: batch --spill-dir --mem-budget: expected exit 0, got $code" >&2
+  fails=$((fails + 1))
+fi
+if ! grep -q '"spilled_runs":[1-9]' "$tmp/spill.jsonl"; then
+  echo "FAIL: batch --mem-budget 2000 spilled no runs" >&2
+  fails=$((fails + 1))
+fi
+if [ -n "$(ls -A "$tmp/sp" 2>/dev/null)" ]; then
+  echo "FAIL: batch left files in --spill-dir: $(ls -A "$tmp/sp")" >&2
+  fails=$((fails + 1))
+fi
 if ! "$WEAKORD" batch --help=plain 2>/dev/null | grep -q 'sym_dedup'; then
   echo "FAIL: batch --help does not explain the sym_dedup counter" >&2
   fails=$((fails + 1))

@@ -105,6 +105,43 @@ let test_naive_agrees () =
         (Drf.obeys ~model:Drf.DRF1 p = Drf.obeys_naive ~model:Drf.DRF1 p))
     Litmus_classics.all
 
+(* [obeys] decides without listing races, and skips the sync-order search
+   when a race is certain; its verdict must be exactly "no race witness"
+   from the reference [races], under both models.  Generated programs are
+   taken as generated, deadlocking ones included. *)
+let test_obeys_equals_no_races () =
+  let generated =
+    List.concat_map
+      (fun profile ->
+        let config = { Litmus_gen.default_config with Litmus_gen.profile } in
+        List.init 1000 (fun seed -> Litmus_gen.generate ~config seed))
+      Litmus_gen.all_profiles
+  in
+  let corpus =
+    List.map prog_of
+      (Litmus_classics.all @ [ Litmus_classics.big3; Litmus_classics.big4 ])
+    @ generated
+  in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun model ->
+          if Drf.obeys ~model p <> (Drf.races ~model p = []) then
+            Alcotest.failf "obeys <> (races = []) under %a on %s:@.%a"
+              Drf.pp_model model (Prog.name p) Prog.pp p)
+        [ Drf.DRF0; Drf.DRF1 ])
+    corpus
+
+let test_certain_race_skips_search () =
+  (* big5 has no synchronization: its data races are unordered under every
+     sync order, so the verdict needs no walk of its SC state space. *)
+  let t0 = Sys.time () in
+  check "big5 violates DRF0" false (Drf.obeys (prog_of Litmus_classics.big5));
+  check "without a state-space search" true (Sys.time () -. t0 < 1.0);
+  (* big4 has no sync operations: the search finds only the empty order. *)
+  check "big4 has one empty sync order" true
+    (Sync_orders.feasible (prog_of Litmus_classics.big4) = [ [] ])
+
 let test_race_witness () =
   match Drf.check (prog_of Litmus_classics.mp) with
   | Ok () -> Alcotest.fail "mp should race"
@@ -200,6 +237,8 @@ let suite =
       t "corpus DRF0 expectations" test_corpus_drf0;
       t "corpus DRF1 expectations" test_corpus_drf1;
       t "checker agrees with naive Definition 3" test_naive_agrees;
+      t "obeys = no race witnesses" test_obeys_equals_no_races;
+      t "a certain race skips the search" test_certain_race_skips_search;
       t "race witnesses" test_race_witness;
       t "sync/sync pairs are not races" test_sync_sync_pairs_not_races;
       t "figure 2a obeys DRF0" test_fig2a_obeys;
