@@ -696,28 +696,16 @@ let faults_kind = "weakord.faults"
 
 let write_fault_ckpt path ck =
   let s, p, d = ck.f_pos in
-  Snapshot.write_file path
-    (Snapshot.frame ~kind:faults_kind
-       ~meta:(Printf.sprintf "scenario %d, program %d, seed %d" s p d)
-       ~payload:(Marshal.to_string ck []))
+  Supervise.write_ckpt ~kind:faults_kind
+    ~meta:(Printf.sprintf "scenario %d, program %d, seed %d" s p d)
+    path ck
 
-let load_fault_ckpt path =
-  match Snapshot.load path with
-  | Error (e, _) ->
-      Fmt.epr "weakord: unusable checkpoint %s: %s@." path
-        (Snapshot.error_string e);
+let load_fault_ckpt path : fault_ckpt * bool =
+  match Supervise.load_ckpt ~kind:faults_kind ~reject:(fun m -> Failure m) path with
+  | loaded -> loaded
+  | exception Failure msg ->
+      Fmt.epr "weakord: unusable checkpoint: %s@." msg;
       exit 2
-  | Ok { Snapshot.container = c; recovered } ->
-      if not (String.equal c.Snapshot.kind faults_kind) then begin
-        Fmt.epr "weakord: %s holds a %S snapshot, expected %S@." path
-          c.Snapshot.kind faults_kind;
-        exit 2
-      end;
-      (match (Marshal.from_string c.Snapshot.payload 0 : fault_ckpt) with
-      | ck -> (ck, recovered)
-      | exception (Failure _ | Invalid_argument _) ->
-          Fmt.epr "weakord: %s: checkpoint payload does not unmarshal@." path;
-          exit 2)
 
 let faults_cmd =
   let seeds_flag =
@@ -1143,6 +1131,104 @@ let gen_cmd =
       $ sync_locs_flag $ no_rmw_flag $ no_await_flag $ profile_flag
       $ live_flag $ out_flag)
 
+(* --- flags shared by batch, serve and fleet --------------------------------- *)
+
+let workers_flag =
+  Arg.(
+    value & opt int Batch.default_cfg.Batch.workers
+    & info [ "workers" ] ~docv:"N"
+        ~doc:
+          "Forked worker processes to keep in flight (for $(b,serve), \
+           across all clients). Each job runs outside the supervisor: a \
+           crash or wedge costs that attempt and that worker, never the \
+           run.")
+
+let timeout_flag =
+  Arg.(
+    value & opt float Batch.default_cfg.Batch.timeout_s
+    & info [ "timeout" ] ~docv:"SECS"
+        ~doc:
+          "Per-job wall clock; a worker past it is SIGKILLed and the \
+           attempt counts as failed.")
+
+let retries_flag =
+  Arg.(
+    value & opt int Batch.default_cfg.Batch.retries
+    & info [ "retries" ] ~docv:"N"
+        ~doc:
+          "Attempts per job before quarantine (with exponential backoff \
+           and deterministic jitter between attempts).")
+
+let backoff_flag =
+  Arg.(
+    value & opt int Batch.default_cfg.Batch.backoff_ms
+    & info [ "backoff" ] ~docv:"MS"
+        ~doc:
+          "Base retry backoff: retry $(i,n) waits $(docv) times \
+           2^($(i,n)-1), plus a deterministic jitter.")
+
+let cache_flag =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "cache" ] ~docv:"FILE"
+        ~doc:
+          "Persistent verdict cache, shared by every client of \
+           $(b,serve). Append-only, CRC-validated per record: a torn or \
+           corrupted record is skipped and recomputed, never trusted. \
+           Keyed by canonical program text (plus the orbit-canonical \
+           symmetry key), machine, model and engine version, so replaying \
+           a corpus is nearly free and an engine change can never serve \
+           stale verdicts.")
+
+let fuel_flag =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "fuel" ] ~docv:"N"
+        ~doc:"Per-job state-expansion bound forwarded to the workers.")
+
+(* [--model] and [-m], checked before the job list is read. *)
+let worker_model_term =
+  let model_flag =
+    Arg.(
+      value & opt string "drf0"
+      & info [ "model" ] ~docv:"MODEL"
+          ~doc:"Synchronization model (drf0|drf1|all|none).")
+  in
+  let machine_flag =
+    Arg.(
+      value & opt string "def2"
+      & info [ "m"; "machine" ] ~docv:"NAME"
+          ~doc:"Default machine for job lines (job-file or SUBMIT) that name none.")
+  in
+  let check model_name machine =
+    match (Worker.model_of_string model_name, Machines.find machine) with
+    | None, _ ->
+        Fmt.epr "weakord: unknown model %S (drf0|drf1|all|none)@." model_name;
+        exit 2
+    | Some _, None ->
+        Fmt.epr "weakord: unknown machine %S@." machine;
+        exit 2
+    | Some model, Some _ -> (model, machine)
+  in
+  Term.(const check $ model_flag $ machine_flag)
+
+let open_cache = function
+  | None -> Verdict_cache.in_memory ()
+  | Some p -> Verdict_cache.open_file p
+
+let service_log m = Fmt.epr "weakord: %s@." m
+
+(* The closing lines of a supervisor run; exits with [code]. *)
+let report_and_exit ~what ~pending ~suspended ~checkpoint code =
+  if suspended then
+    Fmt.epr "weakord: %s drained with %s pending%s@." what pending
+      (match checkpoint with
+      | Some p -> "; resume point written to " ^ p
+      | None -> " (no --checkpoint: progress was discarded)");
+  exit code
+
 (* --- batch ------------------------------------------------------------------- *)
 
 let batch_cmd =
@@ -1171,68 +1257,6 @@ let batch_cmd =
              ($(b,cached), $(b,attempts), $(b,ms)) come last so runs can \
              be compared after stripping them.")
   in
-  let workers_flag =
-    Arg.(
-      value & opt int Batch.default_cfg.Batch.workers
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Forked worker processes to keep in flight. Each is forked \
-             once and runs job after job, each job outside the supervisor: \
-             a crash or wedge costs that attempt and that worker, never \
-             the batch.")
-  in
-  let timeout_flag =
-    Arg.(
-      value & opt float Batch.default_cfg.Batch.timeout_s
-      & info [ "timeout" ] ~docv:"SECS"
-          ~doc:
-            "Per-job wall clock; a worker past it is SIGKILLed and the \
-             attempt counts as failed.")
-  in
-  let retries_flag =
-    Arg.(
-      value & opt int Batch.default_cfg.Batch.retries
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Attempts per job before quarantine (with exponential backoff \
-             and deterministic jitter between attempts).")
-  in
-  let backoff_flag =
-    Arg.(
-      value & opt int Batch.default_cfg.Batch.backoff_ms
-      & info [ "backoff" ] ~docv:"MS" ~doc:"Base retry backoff.")
-  in
-  let cache_flag =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache" ] ~docv:"FILE"
-          ~doc:
-            "Persistent verdict cache. Append-only, CRC-validated per \
-             record: a torn or corrupted record is skipped and recomputed, \
-             never trusted. Keyed by canonical program text, machine, \
-             model and engine version, so replaying a corpus is nearly \
-             free and an engine change can never serve stale verdicts.")
-  in
-  let model_flag =
-    Arg.(
-      value & opt string "drf0"
-      & info [ "model" ] ~docv:"MODEL"
-          ~doc:"Synchronization model (drf0|drf1|all|none).")
-  in
-  let machine_flag =
-    Arg.(
-      value & opt string "def2"
-      & info [ "m"; "machine" ] ~docv:"NAME"
-          ~doc:"Default machine for job-file lines that name none.")
-  in
-  let fuel_flag =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fuel" ] ~docv:"N"
-          ~doc:"Per-job state-expansion bound forwarded to the workers.")
-  in
   let verbose_flag =
     Arg.(
       value & flag
@@ -1242,20 +1266,9 @@ let batch_cmd =
              exact-key cache hits and symmetry-key dedups (the \
              $(b,sym_dedup) counter in the closing summary).")
   in
-  let action jobfile out workers timeout retries backoff cache_path model_name
-      machine deadline checkpoint resume fuel verbose spill_dir mem_budget =
-    let model =
-      match Worker.model_of_string model_name with
-      | Some m -> m
-      | None ->
-          Fmt.epr "weakord: unknown model %S (drf0|drf1|all|none)@." model_name;
-          exit 2
-    in
-    (match Machines.find machine with
-    | Some _ -> ()
-    | None ->
-        Fmt.epr "weakord: unknown machine %S@." machine;
-        exit 2);
+  let action jobfile out workers timeout retries backoff cache_path
+      (model, machine) deadline checkpoint resume fuel verbose spill_dir
+      mem_budget =
     let jobs =
       let parsed =
         if String.equal jobfile "-" then
@@ -1275,11 +1288,7 @@ let batch_cmd =
       Fmt.epr "weakord: %s: no jobs@." jobfile;
       exit 2
     end;
-    let cache =
-      match cache_path with
-      | None -> Verdict_cache.in_memory ()
-      | Some p -> Verdict_cache.open_file p
-    in
+    let cache = open_cache cache_path in
     let cfg =
       {
         Batch.out;
@@ -1295,7 +1304,7 @@ let batch_cmd =
         fuel;
         spill_dir;
         mem_budget;
-        log = (fun m -> Fmt.epr "weakord: %s@." m);
+        log = service_log;
         verbose;
       }
     in
@@ -1307,13 +1316,10 @@ let batch_cmd =
     | summary ->
         Verdict_cache.close cache;
         Fmt.epr "%a@." Batch.pp_summary summary;
-        if summary.Batch.suspended then
-          Fmt.epr "weakord: batch drained with %d job(s) pending%s@."
-            summary.Batch.pending
-            (match checkpoint with
-            | Some p -> "; resume point written to " ^ p
-            | None -> " (no --checkpoint: progress was discarded)");
-        exit (Batch.exit_code summary)
+        report_and_exit ~what:"batch"
+          ~pending:(Printf.sprintf "%d job(s)" summary.Batch.pending)
+          ~suspended:summary.Batch.suspended ~checkpoint
+          (Batch.exit_code summary)
   in
   let doc =
     "run a batch of verification jobs under a crash-isolating supervisor \
@@ -1324,7 +1330,7 @@ let batch_cmd =
     (Cmd.info "batch" ~doc)
     Term.(
       const action $ jobfile_arg $ out_flag $ workers_flag $ timeout_flag
-      $ retries_flag $ backoff_flag $ cache_flag $ model_flag $ machine_flag
+      $ retries_flag $ backoff_flag $ cache_flag $ worker_model_term
       $ deadline_flag $ checkpoint_flag $ resume_flag $ fuel_flag
       $ verbose_flag $ spill_dir_flag $ mem_budget_flag)
 
@@ -1348,60 +1354,6 @@ let serve_cmd =
              $(b,spilled_runs) telemetry field), with ticket numbers as \
              job ids.")
   in
-  let workers_flag =
-    Arg.(
-      value & opt int Daemon.default_cfg.Daemon.workers
-      & info [ "workers" ] ~docv:"N"
-          ~doc:"Forked worker processes to keep in flight across all clients.")
-  in
-  let timeout_flag =
-    Arg.(
-      value & opt float Daemon.default_cfg.Daemon.timeout_s
-      & info [ "timeout" ] ~docv:"SECS"
-          ~doc:
-            "Per-job wall clock; a worker past it is SIGKILLed and the \
-             attempt counts as failed.")
-  in
-  let retries_flag =
-    Arg.(
-      value & opt int Daemon.default_cfg.Daemon.retries
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Attempts per job before quarantine.")
-  in
-  let backoff_flag =
-    Arg.(
-      value & opt int Daemon.default_cfg.Daemon.backoff_ms
-      & info [ "backoff" ] ~docv:"MS" ~doc:"Base retry backoff.")
-  in
-  let cache_flag =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache" ] ~docv:"FILE"
-          ~doc:
-            "Persistent verdict cache shared by every client (exact key \
-             plus the orbit-canonical symmetry key) — the daemon's whole \
-             point: verdicts amortize across clients and restarts.")
-  in
-  let model_flag =
-    Arg.(
-      value & opt string "drf0"
-      & info [ "model" ] ~docv:"MODEL"
-          ~doc:"Synchronization model (drf0|drf1|all|none).")
-  in
-  let machine_flag =
-    Arg.(
-      value & opt string "def2"
-      & info [ "m"; "machine" ] ~docv:"NAME"
-          ~doc:"Default machine for SUBMIT lines that name none.")
-  in
-  let fuel_flag =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fuel" ] ~docv:"N"
-          ~doc:"Per-job state-expansion bound forwarded to the workers.")
-  in
   let max_clients_flag =
     Arg.(
       value & opt int Daemon.default_cfg.Daemon.max_clients
@@ -1416,25 +1368,10 @@ let serve_cmd =
             "Log connections and per-attempt worker lifecycle events \
              (pids, retries, cache/sym-dedup hits).")
   in
-  let action socket out workers timeout retries backoff cache_path model_name
-      machine checkpoint resume fuel spill_dir mem_budget max_clients verbose =
-    let model =
-      match Worker.model_of_string model_name with
-      | Some m -> m
-      | None ->
-          Fmt.epr "weakord: unknown model %S (drf0|drf1|all|none)@." model_name;
-          exit 2
-    in
-    (match Machines.find machine with
-    | Some _ -> ()
-    | None ->
-        Fmt.epr "weakord: unknown machine %S@." machine;
-        exit 2);
-    let cache =
-      match cache_path with
-      | None -> Verdict_cache.in_memory ()
-      | Some p -> Verdict_cache.open_file p
-    in
+  let action socket out workers timeout retries backoff cache_path
+      (model, machine) checkpoint resume fuel spill_dir mem_budget max_clients
+      verbose =
+    let cache = open_cache cache_path in
     let cfg =
       {
         Daemon.socket;
@@ -1452,7 +1389,7 @@ let serve_cmd =
         spill_dir;
         mem_budget;
         max_clients;
-        log = (fun m -> Fmt.epr "weakord: %s@." m);
+        log = service_log;
         verbose;
       }
     in
@@ -1464,13 +1401,10 @@ let serve_cmd =
     | summary ->
         Verdict_cache.close cache;
         Fmt.epr "%a@." Daemon.pp_summary summary;
-        if summary.Daemon.suspended then
-          Fmt.epr "weakord: daemon drained with %d job(s) pending%s@."
-            summary.Daemon.pending
-            (match checkpoint with
-            | Some p -> "; resume point written to " ^ p
-            | None -> " (no --checkpoint: progress was discarded)");
-        exit (Daemon.exit_code summary)
+        report_and_exit ~what:"daemon"
+          ~pending:(Printf.sprintf "%d job(s)" summary.Daemon.pending)
+          ~suspended:summary.Daemon.suspended ~checkpoint
+          (Daemon.exit_code summary)
   in
   let doc =
     "serve verification jobs to many concurrent clients over a Unix-domain \
@@ -1482,7 +1416,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc)
     Term.(
       const action $ socket_arg $ out_flag $ workers_flag $ timeout_flag
-      $ retries_flag $ backoff_flag $ cache_flag $ model_flag $ machine_flag
+      $ retries_flag $ backoff_flag $ cache_flag $ worker_model_term
       $ checkpoint_flag $ resume_flag $ fuel_flag $ spill_dir_flag
       $ mem_budget_flag $ max_clients_flag $ verbose_flag)
 
@@ -1828,12 +1762,6 @@ let fleet_cmd =
             "Hang strikes (or failed attempts) before a seed is poison and \
              quarantined with a minimized reproducer.")
   in
-  let backoff_flag =
-    Arg.(
-      value & opt int Fleet.default_cfg.Fleet.backoff_ms
-      & info [ "backoff" ] ~docv:"MS"
-          ~doc:"Base delay for suspect-retry exponential backoff.")
-  in
   let wedge_seed_flag =
     Arg.(
       value
@@ -1915,7 +1843,7 @@ let fleet_cmd =
         mem_budget;
         wedge_seeds;
         stats_socket;
-        log = (fun m -> Fmt.epr "weakord: %s@." m);
+        log = service_log;
         verbose;
       }
     in
@@ -1928,13 +1856,10 @@ let fleet_cmd =
         exit 2
     | summary ->
         Fmt.epr "%a@." Fleet.pp_summary summary;
-        if summary.Fleet.f_suspended then
-          Fmt.epr "weakord: fleet drained with %d unit(s) pending%s@."
-            summary.Fleet.f_pending
-            (match checkpoint with
-            | Some p -> "; resume point written to " ^ p
-            | None -> " (no --checkpoint: progress was discarded)");
-        exit (Fleet.exit_code summary)
+        report_and_exit ~what:"fleet"
+          ~pending:(Printf.sprintf "%d unit(s)" summary.Fleet.f_pending)
+          ~suspended:summary.Fleet.f_suspended ~checkpoint
+          (Fleet.exit_code summary)
   in
   let doc =
     "drive the differential fuzz oracle across a fault-tolerant sharded \

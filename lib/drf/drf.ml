@@ -67,7 +67,7 @@ let check ?(model = DRF0) prog =
    Such a program obeys iff it has no complete execution, which only
    blocking instructions can prevent.  Otherwise the sync-order search
    decides, stopping at the first racy order. *)
-let obeys ?(model = DRF0) prog =
+let obeys ?(model = DRF0) ?sc prog =
   let evts = Evts.of_prog prog in
   let candidates = race_candidates evts in
   let racy so =
@@ -76,7 +76,8 @@ let obeys ?(model = DRF0) prog =
   in
   if racy (Hb.so_all evts) then
     List.exists (List.exists Instr.is_blocking) (Prog.threads prog)
-    && Final.Set.is_empty (Sc.outcomes prog)
+    && Final.Set.is_empty
+         (match sc with Some sc -> Lazy.force sc | None -> Sc.outcomes prog)
   else
     not
       (List.exists

@@ -30,10 +30,13 @@ val check : ?model:model -> Prog.t -> (unit, race list) result
 (** [Ok ()] iff {!races} is empty: the reference path and witness
     reporter. *)
 
-val obeys : ?model:model -> Prog.t -> bool
+val obeys : ?model:model -> ?sc:Final.Set.t Lazy.t -> Prog.t -> bool
 (** [obeys p = (races p = [])], decided without the sync-order search when
     some candidate pair is unordered even under every sync order at once
-    ({!Hb.so_all}), and otherwise stopping at the first racy order. *)
+    ({!Hb.so_all}), and otherwise stopping at the first racy order.  A
+    certain race in a program that can block needs its SC outcome set;
+    [sc], when given, must be [Sc.outcomes p], and saves sweeping SC a
+    second time for a caller that already holds it. *)
 
 val races_of_trace :
   ?model:model -> Evts.t -> int list -> (Event.t * Event.t) list

@@ -9,11 +9,12 @@
     itself, and no worker outlives {!run}.
 
     Robustness machinery:
-    - {b per-job timeouts}: a worker past its wall-clock budget is
-      SIGKILLed and the attempt counts as failed;
+    - {b per-job timeouts}: a worker still busy [cfg.timeout_s] after
+      its dispatch is SIGKILLed by the pool's hang rule
+      ({!Supervise.run_pool}) and the attempt counts as failed;
     - {b retry with backoff}: failed attempts are retried up to
       [cfg.retries] times, each retry delayed by exponential backoff
-      plus deterministic jitter ({!backoff_delay_ms});
+      plus deterministic jitter ({!Supervise.backoff_delay_ms});
     - {b poison quarantine}: a job that exhausts its attempts is
       quarantined with the worker's last stderr captured for triage, and
       the batch carries on;
@@ -94,12 +95,6 @@ val exit_code : summary -> int
 (** The [weakord batch] exit-code contract: [3] suspended (resume point
     written when configured), else [1] when any violation was found,
     else [4] when any job was quarantined, else [0]. *)
-
-val backoff_delay_ms : base:int -> attempt:int -> job_id:int -> int
-(** Delay before retry number [attempt] (1-based count of failures so
-    far) of [job_id]: [base * 2^(attempt-1)] plus a deterministic jitter
-    in [0, base) derived from [(job_id, attempt)] — reproducible
-    schedules, no thundering herd. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 (** The human summary the CLI prints to stderr, including cache

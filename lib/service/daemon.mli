@@ -3,14 +3,14 @@
     A single-threaded event loop serving many concurrent clients over a
     Unix-domain socket.  Clients speak the {!Wire} protocol
     ([SUBMIT]/[STATUS]/[RESULT]/[CANCEL]/[STATS]/[DRAIN]; spec in
-    [docs/PROTOCOL.md]); submitted jobs become {e tickets} multiplexed
-    onto forked workers under the same worker contract as the one-shot
-    {!Batch} supervisor ({!Runner}; unlike batch, the daemon forks one
-    worker per attempt), under the same timeout / retry-with-backoff
-    / poison-quarantine policy, against one {!Verdict_cache} shared by
-    every client — including the orbit-canonical symmetry key, so a
-    job completes instantly when any client ever paid for a verdict of
-    any program in its renaming class.
+    [docs/PROTOCOL.md]); submitted jobs become {e tickets} run under
+    the one-shot {!Batch} supervisor's per-job policy
+    ({!Supervise.admit}: timeout / retry-with-backoff /
+    poison-quarantine; unlike batch, the daemon forks one worker per
+    attempt), against one {!Verdict_cache} shared by every client —
+    including the orbit-canonical symmetry key, so a job completes
+    instantly when any client ever paid for a verdict of any program in
+    its renaming class.
 
     {1 Fairness}
 
@@ -29,8 +29,8 @@
     ([weakord.daemon] snapshot), blocked [RESULT … WAIT]s are answered
     [ERR 503], and {!run} returns with [suspended = true] when
     anything was left — the CLI maps that to exit [3], mirroring
-    [weakord batch].  A periodic checkpoint also runs while serving,
-    so even [SIGKILL] loses at most ~250 ms of queue state; finished
+    [weakord batch].  While serving, the checkpoint is rewritten within
+    ~250 ms of each change, so even [SIGKILL] loses little; finished
     verdicts are never lost (they are already in the cache and the
     JSONL log).  [--resume] then re-enqueues the checkpointed tickets
     as orphans. *)

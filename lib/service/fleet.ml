@@ -1,27 +1,18 @@
-(* The sharded fuzz fleet: a fault-tolerant supervisor over the
-   three-way differential oracle in [Fuzz].
+(* The sharded fuzz fleet: the three-way differential oracle in [Fuzz]
+   over [Supervise.run_pool].
 
-   Process architecture mirrors [Batch]: the supervisor forks at most
-   [cfg.shards] persistent shard workers, each the first time a unit
-   needs its slot, and does no verification itself.  A shard keeps its
-   heartbeat slot for life.  It takes a unit as a request
-   [(frontier, hi, key)], streams the unit's seeds through
-   [Fuzz.check_prog], heartbeats the seed it is about to check into its
-   slot of a shared mapping, and answers with its accumulated tallies as
-   one CRC-framed reply; then it waits for the next unit.  All
-   parent-side state transitions happen in one thread, in a loop that
-   sleeps until a reply pipe (which is also the shard's exit channel),
-   the stats socket or a drain signal speaks, or the next deadline falls
-   due.
-
-   The failure matrix:
+   A shard takes a unit as a request [(frontier, hi, key)], streams the
+   unit's seeds through [Fuzz.check_prog], beats the seed it is about
+   to check into its heartbeat slot, and answers with its accumulated
+   tallies as one CRC-framed reply.  The failure matrix:
 
      reply with next > hi              -> unit done (emit its records);
                                           the shard waits for more
      reply with next <= hi, exit 9     -> drained at a seed boundary:
                                           merge the partial, requeue
-     no heartbeat for hang_timeout_s   -> SIGKILL + bisect: seeds before
-                                          the suspect keep the progress,
+     no heartbeat for hang_timeout_s   -> SIGKILL (the pool's hang rule)
+                                          + bisect: seeds before the
+                                          suspect keep the progress,
                                           seeds after become fresh work,
                                           the suspect retries alone
      any other death, corrupt reply    -> failed attempt: requeue whole
@@ -33,12 +24,11 @@
                                           with a ddmin-minimized
                                           reproducer; campaign continues
 
-   A killed shard's slot is re-forked when a unit next needs it, and
-   every shard is reaped before [run] returns.
-   Records are emitted only when a unit finalizes, so drained partials
-   never double-emit; the volatile [cached/attempts/ms] trailer comes
-   from [Runner.record_trailer], so one regex strips timing from fleet,
-   batch and daemon streams alike. *)
+   The pool, the retry queue, the checkpoint and the stats socket's
+   connection server ([Wire]) are shared with batch and the daemon;
+   bisection, dossiers and the stats are fleet policy.  Records are
+   emitted only when a unit finalizes, so drained partials never
+   double-emit. *)
 
 type cfg = {
   oracle : Fuzz.cfg;
@@ -188,7 +178,6 @@ type ustate = {
   mutable u_frontier : int;  (* first unchecked seed *)
   mutable u_acc : acc;  (* merged tallies for seeds below the frontier *)
   mutable u_attempts : int;
-  mutable u_eligible_at : float;
 }
 
 let ukey u = Printf.sprintf "%d..%d" u.u_lo u.u_hi
@@ -196,37 +185,6 @@ let ukey u = Printf.sprintf "%d..%d" u.u_lo u.u_hi
 (* --- the shard worker --------------------------------------------------------- *)
 
 let unit_kind = "weakord.fleet.unit"
-
-(* Heartbeats live in shared memory: each shard slot is two int64 words,
-   the seed the shard is about to check and the time it started it, in
-   a mapping every shard inherits.  A beat is two stores and never wakes
-   the supervisor, which reads the slots when it wakes for something
-   else or when a conviction falls due.  (A line per seed on the exit
-   channel would wake it once per seed and preempt the shard.) *)
-type beats = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let beats_create ~dir ~slots : beats =
-  let path = Filename.concat dir "beats" in
-  let fd = Unix.openfile path [ O_RDWR; O_CREAT; O_TRUNC ] 0o600 in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.close fd;
-      try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Bigarray.array1_of_genarray
-        (Unix.map_file fd Bigarray.int64 Bigarray.c_layout true
-           [| 2 * slots |]))
-
-(* The time is stored first.  The supervisor reads the two words
-   separately; a seed read with the previous beat's time can only make a
-   conviction look due early by the few nanoseconds the second store
-   takes to land. *)
-let beat (b : beats) slot seed =
-  b.{(2 * slot) + 1} <- Int64.bits_of_float (Unix.gettimeofday ());
-  b.{2 * slot} <- Int64.of_int seed
-
-let beat_seed (b : beats) slot = Int64.to_int b.{2 * slot}
-let beat_time (b : beats) slot = Int64.float_of_bits b.{(2 * slot) + 1}
 
 (* The oracle a shard actually runs: no quarantine writes, no shrinking,
    no logging, no deadline — all campaign policy stays in the parent. *)
@@ -243,7 +201,7 @@ let probe_oracle oracle =
 (* Runs in the shard, once per unit.  Heartbeat first, then check: the
    parent reads a stale heartbeat as "wedged on exactly this seed".  A
    wedge seed spins forever and ignores SIGTERM — a faithful model of a
-   real engine hang, which only the watchdog's SIGKILL resolves. *)
+   real engine hang, which only the hang rule's SIGKILL resolves. *)
 let shard_unit ~oracle ~wedge_seeds ~stderr ~beat ~cancelled ~reply request =
   let frontier, hi, key = (Marshal.from_string request 0 : int * int * string) in
   Runner.redirect_stderr (stderr key);
@@ -296,33 +254,6 @@ type ckpt = {
   k_states : int;
   k_poison : (int * string * int) list;  (* seed, reason, attempts *)
 }
-
-let write_ckpt path ck =
-  Snapshot.write_file path
-    (Snapshot.frame ~kind:ckpt_kind
-       ~meta:
-         (Printf.sprintf "%d pending unit(s), %d poison"
-            (List.length ck.k_pending)
-            (List.length ck.k_poison))
-       ~payload:(Marshal.to_string ck []))
-
-let load_ckpt path =
-  match Snapshot.load path with
-  | Error (e, _) ->
-      raise
-        (Resume_rejected
-           (Printf.sprintf "%s: %s" path (Snapshot.error_string e)))
-  | Ok { Snapshot.container = c; recovered } ->
-      if not (String.equal c.Snapshot.kind ckpt_kind) then
-        raise
-          (Resume_rejected
-             (Printf.sprintf "%s holds a %S snapshot, expected %S" path
-                c.Snapshot.kind ckpt_kind));
-      (match (Marshal.from_string c.Snapshot.payload 0 : ckpt) with
-      | ck -> (ck, recovered)
-      | exception (Failure _ | Invalid_argument _) ->
-          raise
-            (Resume_rejected (path ^ ": checkpoint payload does not unmarshal")))
 
 (* The campaign identity a checkpoint must match before resuming.
    Deliberately excludes the shard count — an interrupted 4-shard
@@ -406,30 +337,22 @@ let hangs_in_fork ~oracle ~hang_timeout_s prog =
 
 (* --- the supervisor ----------------------------------------------------------- *)
 
-type shard = { s_w : Runner.worker; s_slot : int (* its heartbeat slot *) }
-
-type running = {
-  r_u : ustate;
-  r_shard : shard;
-  r_started : float;
-  mutable r_partial : (acc * int) option;  (* a drained shard's last reply *)
-  mutable r_term_sent : bool;
-  mutable r_hang_killed : bool;
-}
-
-(* One stats-socket client. *)
-type conn = {
-  n_fd : Unix.file_descr;
-  n_dec : Wire.decoder;
-  n_out : Buffer.t;
-  mutable n_hello : bool;
-  mutable n_closing : bool;
-  mutable n_dead : bool;
-}
+(* A unit in flight, with the partial tallies a drained shard replied
+   with just before it exits 9. *)
+type running = { r_u : ustate; mutable r_partial : (acc * int) option }
 
 let heap_bytes () =
   let s = Gc.quick_stat () in
   s.Gc.heap_words * (Sys.word_size / 8)
+
+let fresh_unit ?(acc = acc_zero) ?(attempts = 0) ?frontier lo hi =
+  {
+    u_lo = lo;
+    u_hi = hi;
+    u_frontier = Option.value frontier ~default:lo;
+    u_acc = acc;
+    u_attempts = attempts;
+  }
 
 let run cfg ~lo ~hi =
   if lo > hi then invalid_arg "Fleet.run: empty seed range";
@@ -452,120 +375,80 @@ let run cfg ~lo ~hi =
   let g_states = ref 0 in
   let prior_poison = ref [] in
   let poisons = ref [] in  (* newest first *)
-  let ready : ustate Queue.t = Queue.create () in
-  let delayed : ustate list ref = ref [] in  (* newest first *)
-  let running : running list ref = ref [] in
-  let idle : shard list ref = ref [] in
   (* Resume (restores the pending frontiers) or a fresh unit plan. *)
-  (match cfg.resume with
-  | None ->
-      let plan = units_of_range ~lo ~hi ~unit_seeds:cfg.unit_seeds in
-      units_total := List.length plan;
-      List.iter
-        (fun (a, b) ->
-          Queue.add
-            {
-              u_lo = a;
-              u_hi = b;
-              u_frontier = a;
-              u_acc = acc_zero;
-              u_attempts = 0;
-              u_eligible_at = 0.;
-            }
-            ready)
-        plan
-  | Some path ->
-      let ck, recovered = load_ckpt path in
-      if not (String.equal ck.k_fingerprint fp) then
-        raise
-          (Resume_rejected
-             "checkpoint was taken over a different campaign (fingerprints \
-              differ)");
-      units_total := ck.k_units_total;
-      units_done := ck.k_units_done;
-      units_requeued := ck.k_units_requeued;
-      units_split := ck.k_units_split;
-      g_programs := ck.k_programs;
-      g_checks := ck.k_checks;
-      g_disagreements := ck.k_disagreements;
-      g_sim_runs := ck.k_sim_runs;
-      g_sim_wedged := ck.k_sim_wedged;
-      g_sim_skipped := ck.k_sim_skipped;
-      g_states := ck.k_states;
-      prior_poison := ck.k_poison;
-      List.iter
-        (fun (a, b, frontier, attempts, acc) ->
-          Queue.add
-            {
-              u_lo = a;
-              u_hi = b;
-              u_frontier = frontier;
-              u_acc = acc;
-              u_attempts = attempts;
-              u_eligible_at = 0.;
-            }
-            ready)
-        (List.sort compare ck.k_pending);
-      cfg.log
-        (Printf.sprintf
-           "resuming fleet: %d unit(s) pending, %d/%d seed(s) already \
-            checked%s"
-           (Queue.length ready) !g_programs (hi - lo + 1)
-           (if recovered then
-              " (recovered from the last-good .prev generation)"
-            else "")));
-  let run_base_programs = !g_programs in
-  (* Output stream: append mode, so an interrupted run's records plus
-     its resume's records concatenate into the full campaign. *)
-  let out_ch, close_out_ch =
-    match cfg.out with
-    | None -> (Stdlib.stdout, fun () -> flush Stdlib.stdout)
-    | Some p ->
-        let ch = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 p in
-        (ch, fun () -> close_out ch)
-  in
-  let emit line =
-    output_string out_ch line;
-    output_char out_ch '\n';
-    flush out_ch
-  in
-  (* Scratch area for the heartbeat mapping and stderr captures. *)
-  let scratch =
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "weakord-fleet-%d" (Unix.getpid ()))
-    in
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
-  in
-  let beats = beats_create ~dir:scratch ~slots:(max 1 cfg.shards) in
-  (* Stats socket (optional). *)
-  let listen_fd =
-    match cfg.stats_socket with
-    | None -> None
+  let plan =
+    match cfg.resume with
+    | None ->
+        let plan = units_of_range ~lo ~hi ~unit_seeds:cfg.unit_seeds in
+        units_total := List.length plan;
+        List.map (fun (a, b) -> fresh_unit a b) plan
     | Some path ->
-        (try Unix.unlink path with Unix.Unix_error _ -> ());
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try
-           Unix.bind fd (Unix.ADDR_UNIX path);
-           Unix.listen fd 16;
-           Unix.set_nonblock fd
-         with Unix.Unix_error (e, _, _) ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           invalid_arg
-             (Printf.sprintf "Fleet.run: cannot bind stats socket %s: %s" path
-                (Unix.error_message e)));
-        Some fd
+        let (ck : ckpt), recovered =
+          Supervise.load_ckpt ~kind:ckpt_kind
+            ~reject:(fun m -> Resume_rejected m)
+            path
+        in
+        if not (String.equal ck.k_fingerprint fp) then
+          raise
+            (Resume_rejected
+               "checkpoint was taken over a different campaign (fingerprints \
+                differ)");
+        units_total := ck.k_units_total;
+        units_done := ck.k_units_done;
+        units_requeued := ck.k_units_requeued;
+        units_split := ck.k_units_split;
+        g_programs := ck.k_programs;
+        g_checks := ck.k_checks;
+        g_disagreements := ck.k_disagreements;
+        g_sim_runs := ck.k_sim_runs;
+        g_sim_wedged := ck.k_sim_wedged;
+        g_sim_skipped := ck.k_sim_skipped;
+        g_states := ck.k_states;
+        prior_poison := ck.k_poison;
+        cfg.log
+          (Printf.sprintf
+             "resuming fleet: %d unit(s) pending, %d/%d seed(s) already \
+              checked%s"
+             (List.length ck.k_pending) !g_programs (hi - lo + 1)
+             (if recovered then
+                " (recovered from the last-good .prev generation)"
+              else ""));
+        List.map
+          (fun (a, b, frontier, attempts, acc) ->
+            fresh_unit ~acc ~attempts ~frontier a b)
+          (List.sort compare ck.k_pending)
   in
-  let conns : conn list ref = ref [] in
-  (* Signals: first SIGTERM/SIGINT flips the drain flag and wakes the
-     loop; EPIPE from a vanished stats client or an idle shard's death
-     is an error code, not a signal ([Runner.wake_on_drain]). *)
-  let drain = ref false in
-  let wake = Runner.wake_on_drain drain in
+  let run_base_programs = !g_programs in
+  let srv =
+    Option.map
+      (fun path ->
+        try Wire.listen path
+        with Failure m -> invalid_arg ("Fleet.run: stats socket: " ^ m))
+      cfg.stats_socket
+  in
+  let s = Supervise.open_session ~name:"fleet" ~stdout:true ~checkpoint:cfg.checkpoint cfg.out in
+  let drain = s.Supervise.drain in
+  let q = Supervise.queue plan in
   let budget =
     Budget.create ?deadline_s:cfg.deadline_s ?mem_bytes:cfg.mem_budget ()
+  in
+  let stderr_path key = Supervise.scratch_file s (Printf.sprintf "u%s.stderr" key) in
+  let pool =
+    Supervise.pool s ~size:cfg.shards ~hang_s:cfg.hang_timeout_s
+      (fun ~slot ~siblings ~beat ->
+        let w =
+          Runner.fork_persistent ~kind:unit_kind
+            ~close:(match srv with Some srv -> fst (Wire.fds srv) | None -> [])
+            ~siblings
+            (shard_unit ~oracle:cfg.oracle ~wedge_seeds:cfg.wedge_seeds
+               ~stderr:stderr_path ~beat)
+        in
+        if cfg.verbose then
+          cfg.log (Printf.sprintf "shard %d forked into slot %d" w.Runner.pid slot);
+        w)
+  in
+  let running () =
+    List.map (fun (b : running Supervise.busy) -> b.work.r_u) (Supervise.busy pool)
   in
   (* Live shards for STATS.  The mean is weighted by the time each level
      was held, so it does not depend on how often the loop wakes. *)
@@ -576,49 +459,38 @@ let run cfg ~lo ~hi =
     shards_area :=
       !shards_area +. (float_of_int !shards_level *. (now -. !shards_since));
     shards_since := now;
-    shards_level := List.length !running;
+    shards_level := List.length (Supervise.busy pool);
     shards_max := max !shards_max !shards_level
   in
-  let pending_units () =
-    List.of_seq (Queue.to_seq ready)
-    @ List.rev !delayed
-    @ List.map (fun r -> r.r_u) !running
-  in
-  (* A state change sets [ckpt_dirty]; the loop writes at most every
-     0.25 s and wakes for a pending write. *)
-  let last_ckpt = ref 0. in
-  let ckpt_dirty = ref false in
-  let save_ckpt ~force () =
-    match cfg.checkpoint with
-    | None -> ()
-    | Some path ->
-        let now = Unix.gettimeofday () in
-        if force || (!ckpt_dirty && now -. !last_ckpt > 0.25) then begin
-          last_ckpt := now;
-          ckpt_dirty := false;
-          write_ckpt path
-            {
-              k_fingerprint = fp;
-              k_pending =
-                List.map
-                  (fun u -> (u.u_lo, u.u_hi, u.u_frontier, u.u_attempts, u.u_acc))
-                  (pending_units ());
-              k_units_total = !units_total;
-              k_units_done = !units_done;
-              k_units_requeued = !units_requeued;
-              k_units_split = !units_split;
-              k_programs = !g_programs;
-              k_checks = !g_checks;
-              k_disagreements = !g_disagreements;
-              k_sim_runs = !g_sim_runs;
-              k_sim_wedged = !g_sim_wedged;
-              k_sim_skipped = !g_sim_skipped;
-              k_states = !g_states;
-              k_poison =
-                !prior_poison
-                @ List.rev_map (fun p -> (p.p_seed, p.p_reason, p.p_attempts)) !poisons;
-            }
-        end
+  let pending_units () = Supervise.to_list q @ running () in
+  let write_ckpt path =
+    let pending = pending_units () in
+    Supervise.write_ckpt ~kind:ckpt_kind
+      ~meta:
+        (Printf.sprintf "%d pending unit(s), %d poison" (List.length pending)
+           (List.length !prior_poison + List.length !poisons))
+      path
+      {
+        k_fingerprint = fp;
+        k_pending =
+          List.map
+            (fun u -> (u.u_lo, u.u_hi, u.u_frontier, u.u_attempts, u.u_acc))
+            pending;
+        k_units_total = !units_total;
+        k_units_done = !units_done;
+        k_units_requeued = !units_requeued;
+        k_units_split = !units_split;
+        k_programs = !g_programs;
+        k_checks = !g_checks;
+        k_disagreements = !g_disagreements;
+        k_sim_runs = !g_sim_runs;
+        k_sim_wedged = !g_sim_wedged;
+        k_sim_skipped = !g_sim_skipped;
+        k_states = !g_states;
+        k_poison =
+          !prior_poison
+          @ List.rev_map (fun p -> (p.p_seed, p.p_reason, p.p_attempts)) !poisons;
+      }
   in
   let gen = Litmus_gen.config_args cfg.oracle.Fuzz.config in
   (* Global counters update at merge time — exactly once per seed across
@@ -691,9 +563,9 @@ let run cfg ~lo ~hi =
              (match q with
              | Some p -> " (quarantined: " ^ p ^ ")"
              | None -> ""));
-        emit (disagreement_record ~key ~seed ~check ~detail ~ms))
+        Supervise.emit s (disagreement_record ~key ~seed ~check ~detail ~ms))
       (List.sort compare u.u_acc.a_disagreements);
-    emit (unit_record ~key ~gen u.u_acc ~attempts:(u.u_attempts + 1) ~ms);
+    Supervise.emit s (unit_record ~key ~gen u.u_acc ~attempts:(u.u_attempts + 1) ~ms);
     if cfg.verbose then
       cfg.log
         (Printf.sprintf "unit %s done: %d program(s), %d check(s)" key
@@ -717,22 +589,17 @@ let run cfg ~lo ~hi =
          (match report with
          | Some r -> " (dossier: " ^ r ^ ")"
          | None -> ""));
-    emit (poison_record ~key:(ukey u) ~seed ~reason ~attempts:u.u_attempts ~ms)
+    Supervise.emit s
+      (poison_record ~key:(ukey u) ~seed ~reason ~attempts:u.u_attempts ~ms)
   in
-  let backoff_of u =
-    float_of_int
-      (Batch.backoff_delay_ms ~base:cfg.backoff_ms ~attempt:u.u_attempts
-         ~job_id:u.u_lo)
-    /. 1000.
-  in
-  let requeue u ~reason now =
-    incr units_requeued;
-    u.u_eligible_at <- now +. backoff_of u;
-    delayed := u :: !delayed;
-    if cfg.verbose then
-      cfg.log
-        (Printf.sprintf "retrying unit %s (attempt %d/%d: %s)" (ukey u)
-           (u.u_attempts + 1) cfg.retries reason)
+  let backoff u now =
+    Supervise.delay q u
+      ~at:
+        (now
+        +. float_of_int
+             (Supervise.backoff_delay_ms ~base:cfg.backoff_ms
+                ~attempt:u.u_attempts ~job_id:u.u_lo)
+           /. 1000.)
   in
   (* Hang bisection.  The suspect seed (from the stale heartbeat) is cut
      out into its own single-seed unit carrying the hang strike; seeds
@@ -740,10 +607,11 @@ let run cfg ~lo ~hi =
      work.  [suspect_attempts] is the strike count the suspect inherits:
      hang strikes accumulate, a crash-exhausted split grants a fresh
      budget. *)
-  let bisect r ~suspect_attempts now =
-    let u = r.r_u in
+  let bisect (b : running Supervise.busy) ~suspect_attempts now =
+    let u = b.work.r_u in
+    let ms = (now -. b.started) *. 1000. in
     let suspect =
-      match beat_seed beats r.r_shard.s_slot with
+      match Supervise.beat_unit pool b with
       | s when s >= u.u_frontier && s <= u.u_hi -> s
       | _ -> u.u_frontier
     in
@@ -754,177 +622,93 @@ let run cfg ~lo ~hi =
           bisecting"
          (ukey u) suspect cfg.hang_timeout_s);
     if suspect > u.u_lo then begin
-      let left =
-        {
-          u_lo = u.u_lo;
-          u_hi = suspect - 1;
-          u_frontier = u.u_frontier;
-          u_acc = u.u_acc;
-          u_attempts = 0;
-          u_eligible_at = 0.;
-        }
-      in
+      let left = fresh_unit ~acc:u.u_acc ~frontier:u.u_frontier u.u_lo (suspect - 1) in
       incr units_total;
-      if left.u_frontier > left.u_hi then
-        finalize left ~ms:((now -. r.r_started) *. 1000.)
-      else Queue.add left ready
+      if left.u_frontier > left.u_hi then finalize left ~ms
+      else Supervise.push q left
     end;
     if suspect < u.u_hi then begin
       incr units_total;
-      Queue.add
-        {
-          u_lo = suspect + 1;
-          u_hi = u.u_hi;
-          u_frontier = suspect + 1;
-          u_acc = acc_zero;
-          u_attempts = 0;
-          u_eligible_at = 0.;
-        }
-        ready
+      Supervise.push q (fresh_unit (suspect + 1) u.u_hi)
     end;
-    let su =
-      {
-        u_lo = suspect;
-        u_hi = suspect;
-        u_frontier = suspect;
-        u_acc = acc_zero;
-        u_attempts = suspect_attempts;
-        u_eligible_at = 0.;
-      }
-    in
+    let su = fresh_unit ~attempts:suspect_attempts suspect suspect in
     incr units_total;
-    if su.u_attempts >= cfg.retries then
-      poison_unit su ~reason:hang_reason ~ms:((now -. r.r_started) *. 1000.)
-    else begin
-      su.u_eligible_at <- now +. backoff_of su;
-      delayed := su :: !delayed
-    end
+    if su.u_attempts >= cfg.retries then poison_unit su ~reason:hang_reason ~ms
+    else backoff su now
   in
-  let attempt_failed r ~reason now =
-    let u = r.r_u in
+  let attempt_failed (b : running Supervise.busy) ~reason now =
+    let u = b.work.r_u in
     u.u_attempts <- u.u_attempts + 1;
-    if u.u_attempts < cfg.retries then requeue u ~reason now
+    if u.u_attempts < cfg.retries then begin
+      incr units_requeued;
+      backoff u now;
+      if cfg.verbose then
+        cfg.log
+          (Printf.sprintf "retrying unit %s (attempt %d/%d: %s)" (ukey u)
+             (u.u_attempts + 1) cfg.retries reason)
+    end
     else if u.u_lo = u.u_hi then
-      poison_unit u ~reason ~ms:((now -. r.r_started) *. 1000.)
+      poison_unit u ~reason ~ms:((now -. b.started) *. 1000.)
     else
       (* Retries exhausted without a hang verdict: isolate the seed the
          shard last heartbeat on, granting the suspect a fresh retry
          budget (the deaths may have been transient). *)
-      bisect r ~suspect_attempts:0 now
-  in
-  let handle_exit r status now =
-    let u = r.r_u in
-    let ms = (now -. r.r_started) *. 1000. in
-    match status with
-    | Unix.WEXITED 9 ->
-        (* Drained at a seed boundary: merge the partial frontier the
-           shard replied with and keep the unit pending — it lands in
-           the checkpoint. *)
-        Option.iter (fun (a, next) -> merge u a next) r.r_partial;
-        if cfg.verbose then
-          cfg.log
-            (Printf.sprintf "unit %s drained at seed %d" (ukey u) u.u_frontier);
-        if u.u_frontier > u.u_hi then finalize u ~ms else Queue.add u ready
-    | Unix.WEXITED n ->
-        attempt_failed r ~reason:(Printf.sprintf "shard exited %d" n) now
-    | Unix.WSIGNALED _ when r.r_hang_killed ->
-        bisect r ~suspect_attempts:(u.u_attempts + 1) now
-    | Unix.WSIGNALED s ->
-        attempt_failed r
-          ~reason:("shard killed by " ^ Runner.signal_name s)
-          now
-    | Unix.WSTOPPED _ -> (* not requested (no WUNTRACED) *)
-        attempt_failed r ~reason:"shard stopped unexpectedly" now
+      bisect b ~suspect_attempts:0 now
   in
   (* A whole unit's reply frees the shard; a partial one comes only from
      a drained shard, which exits 9 next. *)
-  let on_event r ev now =
-    match ev with
-    | Runner.Nothing -> true
-    | Runner.Reply payload -> (
-        match unit_of_payload payload with
-        | Some (a, next) when next > r.r_u.u_hi ->
-            idle := r.r_shard :: !idle;
-            merge r.r_u a next;
-            finalize r.r_u ~ms:((now -. r.r_started) *. 1000.);
-            false
-        | Some partial ->
-            r.r_partial <- Some partial;
-            true
-        | None ->
-            Runner.kill r.r_shard.s_w;
-            attempt_failed r ~reason:"shard reply does not unmarshal" now;
-            false)
-    | Runner.Died status ->
-        handle_exit r status now;
-        false
-    | Runner.Corrupt ->
-        attempt_failed r ~reason:"shard reply failed its CRC or kind" now;
-        false
+  let reply (b : running Supervise.busy) payload =
+    let now = Unix.gettimeofday () in
+    match unit_of_payload payload with
+    | Some (a, next) when next > b.work.r_u.u_hi ->
+        Supervise.touch s;
+        merge b.work.r_u a next;
+        finalize b.work.r_u ~ms:((now -. b.started) *. 1000.);
+        Supervise.Idle
+    | Some partial ->
+        b.work.r_partial <- Some partial;
+        Supervise.Busy
+    | None ->
+        Supervise.touch s;
+        attempt_failed b ~reason:"shard reply does not unmarshal" now;
+        Supervise.Kill
   in
-  let stderr_path key = Filename.concat scratch (Printf.sprintf "u%s.stderr" key) in
-  let shards () = !idle @ List.map (fun r -> r.r_shard) !running in
-  (* A shard keeps its slot for life; a new one takes the lowest free. *)
-  let fork () =
-    let slot =
-      let rec free i =
-        if List.exists (fun s -> s.s_slot = i) (shards ()) then free (i + 1)
-        else i
-      in
-      free 0
-    in
-    flush out_ch;
-    let w =
-      Runner.fork_persistent ~kind:unit_kind
-        ~close:
-          (Option.to_list listen_fd @ List.map (fun c -> c.n_fd) !conns)
-        ~siblings:(List.map (fun s -> s.s_w) (shards ()))
-        (shard_unit ~oracle:cfg.oracle ~wedge_seeds:cfg.wedge_seeds
-           ~stderr:stderr_path ~beat:(beat beats slot))
-    in
-    if cfg.verbose then
-      cfg.log (Printf.sprintf "shard %d forked into slot %d" w.Runner.pid slot);
-    { s_w = w; s_slot = slot }
-  in
-  (* The parent beats [-1] before the request goes out, so the hang
-     budget runs from the dispatch.  A shard that died idle fails its
-     send; that costs the unit no attempt, only a fresh fork. *)
-  let rec dispatch req =
-    let s, fresh =
-      match !idle with
-      | [] -> (fork (), true)
-      | s :: rest ->
-          idle := rest;
-          (s, false)
-    in
-    beat beats s.s_slot (-1);
-    if Runner.send s.s_w req || fresh then s
-    else begin
-      ignore (Runner.retire s.s_w : Unix.process_status);
-      dispatch req
-    end
+  let lost (b : running Supervise.busy) status =
+    let now = Unix.gettimeofday () in
+    let u = b.work.r_u in
+    Supervise.touch s;
+    match status with
+    | None -> attempt_failed b ~reason:"shard reply failed its CRC or kind" now
+    | Some (Unix.WEXITED 9) ->
+        (* Drained at a seed boundary: merge the partial frontier the
+           shard replied with and keep the unit pending — it lands in
+           the checkpoint. *)
+        Option.iter (fun (a, next) -> merge u a next) b.work.r_partial;
+        if cfg.verbose then
+          cfg.log
+            (Printf.sprintf "unit %s drained at seed %d" (ukey u) u.u_frontier);
+        if u.u_frontier > u.u_hi then finalize u ~ms:((now -. b.started) *. 1000.)
+        else Supervise.push q u
+    | Some (Unix.WEXITED n) ->
+        attempt_failed b ~reason:(Printf.sprintf "shard exited %d" n) now
+    | Some (Unix.WSIGNALED _) when b.hung ->
+        bisect b ~suspect_attempts:(u.u_attempts + 1) now
+    | Some (Unix.WSIGNALED sg) ->
+        attempt_failed b ~reason:("shard killed by " ^ Runner.signal_name sg) now
+    | Some (Unix.WSTOPPED _) -> (* not requested (no WUNTRACED) *)
+        attempt_failed b ~reason:"shard stopped unexpectedly" now
   in
   let spawn u =
     let key = ukey u in
-    let s = dispatch (Marshal.to_string (u.u_frontier, u.u_hi, key) []) in
+    let b =
+      Supervise.dispatch pool
+        { r_u = u; r_partial = None }
+        (Marshal.to_string (u.u_frontier, u.u_hi, key) [])
+    in
     if cfg.verbose then
       cfg.log
         (Printf.sprintf "shard %d started unit %s at seed %d (attempt %d/%d)"
-           s.s_w.Runner.pid key u.u_frontier (u.u_attempts + 1) cfg.retries);
-    running :=
-      {
-        r_u = u;
-        r_shard = s;
-        r_started = Unix.gettimeofday ();
-        r_partial = None;
-        r_term_sent = false;
-        r_hang_killed = false;
-      }
-      :: !running
-  in
-  let retire_idle () =
-    List.iter (fun s -> ignore (Runner.retire s.s_w : Unix.process_status)) !idle;
-    idle := []
+           (Supervise.pid b) key u.u_frontier (u.u_attempts + 1) cfg.retries)
   in
   (* --- stats socket ----------------------------------------------------------- *)
   let stats_json () =
@@ -933,11 +717,10 @@ let run cfg ~lo ~hi =
     account_shards now;
     Printf.sprintf
       "{\"shards\":%d,\"shards_max\":%d,\"shards_mean\":%.1f,\"queue_depth\":%d,\"units_total\":%d,\"units_done\":%d,\"units_pending\":%d,\"units_requeued\":%d,\"units_split\":%d,\"poison\":%d,\"disagreements\":%d,\"seeds_done\":%d,\"seeds_total\":%d,\"seeds_per_sec\":%.1f,\"states_total\":%d,\"uptime_s\":%.1f,\"draining\":%b}"
-      (List.length !running)
+      (List.length (Supervise.busy pool))
       !shards_max
       (if wall > 0. then !shards_area /. wall else 0.)
-      (Queue.length ready + List.length !delayed)
-      !units_total !units_done
+      (Supervise.queued q) !units_total !units_done
       (List.length (pending_units ()))
       !units_requeued !units_split
       (List.length !prior_poison + List.length !poisons)
@@ -948,286 +731,50 @@ let run cfg ~lo ~hi =
        else 0.)
       !g_states wall !drain
   in
-  let send c s = Buffer.add_string c.n_out (Wire.frame s) in
-  let close_conn c =
-    if not c.n_dead then begin
-      c.n_dead <- true;
-      try Unix.close c.n_fd with Unix.Unix_error _ -> ()
-    end
-  in
-  let handle_req c = function
-    | Wire.Hello v ->
-        if String.equal v Wire.greeting then begin
-          c.n_hello <- true;
-          send c
-            (Wire.ok
-               (Printf.sprintf "%s engine=%s" Wire.greeting
-                  Verdict_cache.engine_version))
-        end
-        else
-          send c
-            (Wire.err Wire.e_hello
-               (Printf.sprintf "unsupported version %S, this server speaks %s"
-                  v Wire.greeting))
-    | _ when not c.n_hello -> send c (Wire.err Wire.e_hello "say HELLO first")
-    | Wire.Stats -> send c (Wire.ok (stats_json ()))
-    | Wire.Ping -> send c (Wire.ok "pong")
+  let handle c = function
+    | Wire.Stats -> Wire.send c (Wire.ok (stats_json ()))
     | Wire.Drain ->
         drain := true;
-        send c
+        Wire.send c
           (Wire.ok
-             (Printf.sprintf "draining pending=%d running=%d"
-                (Queue.length ready + List.length !delayed)
-                (List.length !running)))
-    | Wire.Bye ->
-        send c (Wire.ok "bye");
-        c.n_closing <- true
-    | Wire.Submit _ | Wire.Status _ | Wire.Result _ | Wire.Cancel _ ->
-        send c
+             (Printf.sprintf "draining pending=%d running=%d" (Supervise.queued q)
+                (List.length (Supervise.busy pool))))
+    | _ ->
+        Wire.send c
           (Wire.err Wire.e_unknown
              "fleet stats endpoint serves STATS, PING, DRAIN and BYE")
   in
-  let read_conn c =
-    match
-      let buf = Bytes.create 4096 in
-      let n = Unix.read c.n_fd buf 0 4096 in
-      if n = 0 then `Eof else `Data (Bytes.sub_string buf 0 n)
-    with
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
-    | exception Unix.Unix_error _ -> close_conn c
-    | `Eof -> close_conn c
-    | `Data data ->
-        Wire.feed c.n_dec data;
-        let rec pump () =
-          match Wire.next c.n_dec with
-          | Ok None -> ()
-          | Ok (Some payload) ->
-              (match Wire.parse_request payload with
-              | Ok req -> handle_req c req
-              | Error (code, msg) -> send c (Wire.err code msg));
-              if not c.n_closing then pump ()
-          | Error e ->
-              send c (Wire.err Wire.e_bad ("framing: " ^ e));
-              c.n_closing <- true
-        in
-        pump ()
-  in
-  let write_conn c =
-    let s = Buffer.contents c.n_out in
-    if String.length s > 0 then (
-      match Unix.write_substring c.n_fd s 0 (String.length s) with
-      | n ->
-          Buffer.clear c.n_out;
-          if n < String.length s then
-            Buffer.add_substring c.n_out s n (String.length s - n)
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          ()
-      | exception Unix.Unix_error _ -> close_conn c);
-    if c.n_closing && (not c.n_dead) && Buffer.length c.n_out = 0 then
-      close_conn c
-  in
-  let accept_conns lfd =
-    let rec go () =
-      match Unix.accept lfd with
-      | fd, _ ->
-          Unix.set_nonblock fd;
-          conns :=
-            {
-              n_fd = fd;
-              n_dec = Wire.decoder ();
-              n_out = Buffer.create 256;
-              n_hello = false;
-              n_closing = false;
-              n_dead = false;
-            }
-            :: !conns;
-          go ()
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          ()
-      | exception Unix.Unix_error _ -> ()
-    in
-    go ()
-  in
   (* One wait serves the stats socket, the shards' exit channels and
-     the drain self-pipe.  It sleeps until one of them speaks or the next
-     deadline falls due: a backoff expiry, a heartbeat conviction, the
-     campaign deadline or a pending checkpoint write. *)
-  let next_deadline () =
-    let t =
-      List.fold_left
-        (fun t r ->
-          if r.r_hang_killed then t
-          else Float.min t (beat_time beats r.r_shard.s_slot +. cfg.hang_timeout_s))
-        infinity !running
-    in
-    let t = List.fold_left (fun t u -> Float.min t u.u_eligible_at) t !delayed in
-    let t =
+     the drain self-pipe. *)
+  Supervise.run_pool s write_ckpt pool q ~log:cfg.log ~nouns:("shard", "unit")
+    ~check:(fun _ ->
+      (* Budget exhaustion is a self-inflicted drain. *)
+      if not !drain then
+        if Budget.over_deadline budget then begin
+          drain := true;
+          cfg.log "fleet deadline reached; draining"
+        end
+        else if Budget.over_memory budget ~bytes:(heap_bytes ()) then begin
+          drain := true;
+          cfg.log "fleet memory budget reached; draining"
+        end)
+    ~deadline:(fun () ->
       match Budget.deadline_s budget with
-      | Some left when not !drain -> Float.min t (Unix.gettimeofday () +. left)
-      | _ -> t
-    in
-    if !ckpt_dirty && cfg.checkpoint <> None then
-      Float.min t (!last_ckpt +. 0.25)
-    else t
-  in
-  let wait_and_service () =
-    let live = List.filter (fun c -> not c.n_dead) !conns in
-    let socket_fds =
-      match listen_fd with
-      | None -> []
-      | Some lfd -> lfd :: List.map (fun c -> c.n_fd) live
-    in
-    let wfds =
-      List.filter_map
-        (fun c -> if Buffer.length c.n_out > 0 then Some c.n_fd else None)
-        live
-    in
-    let rs, ws =
-      Runner.sleep_until wake (next_deadline ())
-        (socket_fds @ List.map (fun s -> s.s_w.Runner.rsp) (shards ()))
-        wfds
-    in
-    let now = Unix.gettimeofday () in
-    let spoke (w : Runner.worker) = List.mem w.rsp rs in
-    idle :=
-      List.filter
-        (fun s -> (not (spoke s.s_w)) || Runner.idle_alive s.s_w)
-        !idle;
-    running :=
-      List.filter
-        (fun r ->
-          (not (spoke r.r_shard.s_w))
-          ||
-          let keep = on_event r (Runner.receive r.r_shard.s_w) now in
-          if not keep then ckpt_dirty := true;
-          keep)
-        !running;
-    (match listen_fd with
-    | Some lfd when List.mem lfd rs -> accept_conns lfd
-    | _ -> ());
-    List.iter
-      (fun c -> if (not c.n_dead) && List.mem c.n_fd rs then read_conn c)
-      live;
-    List.iter
-      (fun c ->
-        if (not c.n_dead) && (List.mem c.n_fd ws || Buffer.length c.n_out > 0)
-        then write_conn c)
-      live;
-    conns := List.filter (fun c -> not c.n_dead) !conns
-  in
-  (* --- the event loop --------------------------------------------------------- *)
-  let drain_announced = ref false in
-  let finally () =
-    (* No shard outlives the campaign: idle ones exit on EOF, and busy
-       ones (left only by an exception) are killed. *)
-    retire_idle ();
-    List.iter (fun r -> Runner.kill r.r_shard.s_w) !running;
-    Runner.restore wake;
-    List.iter close_conn !conns;
-    (match listen_fd with
-    | Some fd -> (
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        match cfg.stats_socket with
-        | Some p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-        | None -> ())
-    | None -> ());
-    close_out_ch ();
-    (match Sys.readdir scratch with
-    | files ->
-        Array.iter
-          (fun f ->
-            try Sys.remove (Filename.concat scratch f) with Sys_error _ -> ())
-          files;
-        (try Unix.rmdir scratch with Unix.Unix_error _ -> ())
-    | exception Sys_error _ -> ())
-  in
-  let continue () =
-    !running <> []
-    || ((not !drain) && ((not (Queue.is_empty ready)) || !delayed <> []))
-  in
-  (try
-     while continue () do
-       let now = Unix.gettimeofday () in
-       (* Budget exhaustion is a self-inflicted drain. *)
-       if not !drain then begin
-         if Budget.over_deadline budget then begin
-           drain := true;
-           cfg.log "fleet deadline reached; draining"
-         end
-         else if Budget.over_memory budget ~bytes:(heap_bytes ()) then begin
-           drain := true;
-           cfg.log "fleet memory budget reached; draining"
-         end
-       end;
-       (* Drain: EOF to the idle shards, and SIGTERM once to every busy
-          one; busy shards stop at the next seed boundary.  The watchdog
-          below stays armed — a wedged shard ignores SIGTERM and only
-          SIGKILL (with its deterministic bisection) resolves it. *)
-       if !drain then begin
-         retire_idle ();
-         if not !drain_announced then begin
-           drain_announced := true;
-           cfg.log
-             (Printf.sprintf "draining: %d shard(s) in flight, %d unit(s) queued"
-                (List.length !running)
-                (Queue.length ready + List.length !delayed))
-         end;
-         List.iter
-           (fun r ->
-             if not r.r_term_sent then begin
-               r.r_term_sent <- true;
-               try Unix.kill r.r_shard.s_w.Runner.pid Sys.sigterm
-               with Unix.Unix_error _ -> ()
-             end)
-           !running
-       end;
-       (* Watchdog: no heartbeat within the hang budget convicts the
-          shard's current seed. *)
-       List.iter
-         (fun r ->
-           if
-             (not r.r_hang_killed)
-             && now -. beat_time beats r.r_shard.s_slot > cfg.hang_timeout_s
-           then begin
-             r.r_hang_killed <- true;
-             try Unix.kill r.r_shard.s_w.Runner.pid Sys.sigkill
-             with Unix.Unix_error _ -> ()
-           end)
-         !running;
-       (* Promote delayed units whose backoff expired, oldest first. *)
-       let due, later =
-         List.partition (fun u -> u.u_eligible_at <= now) !delayed
-       in
-       delayed := later;
-       List.iter (fun u -> Queue.add u ready) (List.rev due);
-       (* Dispatch. *)
-       while
-         (not !drain)
-         && List.length !running < cfg.shards
-         && not (Queue.is_empty ready)
-       do
-         ckpt_dirty := true;
-         let u = Queue.pop ready in
-         if u.u_frontier > u.u_hi then finalize u ~ms:0. else spawn u
-       done;
-       account_shards (Unix.gettimeofday ());
-       save_ckpt ~force:false ();
-       if continue () then wait_and_service ()
-     done;
-     save_ckpt ~force:true ()
-   with e ->
-     (try save_ckpt ~force:true () with _ -> ());
-     finally ();
-     raise e);
-  finally ();
-  let pending = Queue.length ready + List.length !delayed in
+      | Some left -> Unix.gettimeofday () +. left
+      | None -> infinity)
+    ~start:(fun u ->
+      Supervise.touch s;
+      if u.u_frontier > u.u_hi then finalize u ~ms:0. else spawn u)
+    ~before_wait:(fun () ->
+      account_shards (Unix.gettimeofday ());
+      match srv with Some srv -> Wire.fds srv | None -> ([], []))
+    ~after_wait:(fun rs ws ->
+      Option.iter
+        (fun srv -> Wire.service srv ~admit:(fun () -> Ok ()) ~handle rs ws)
+        srv)
+    ~finally:(fun () -> Option.iter Wire.shutdown srv)
+    ~reply ~lost ();
+  let pending = Supervise.queued q in
   {
     f_units_total = !units_total;
     f_units_done = !units_done;

@@ -9,18 +9,15 @@
     {1 Supervision tree}
 
     The supervisor partitions the seed range into fixed-size {e work
-    units} and keeps at most [shards] workers in flight.  Each worker is
-    forked once per slot ({!Runner.fork_persistent}) and keeps its
-    heartbeat slot for life.  It takes one unit at a time over its
-    request pipe, runs {!Fuzz.check_seed} over the unit's seeds,
-    reporting progress as a heartbeat in its slot of a shared mapping
-    (the seed it is about to check and when it started it; a heartbeat
-    never wakes the supervisor), and answers with its accumulated
+    units} and runs them on the worker pool batch uses
+    ({!Supervise.run_pool}), at most [shards] at a time.  A shard runs
+    {!Fuzz.check_seed} over a unit's seeds, beating each seed into its
+    heartbeat slot before checking it, and answers with its accumulated
     {!Fuzz.seed_report} tallies as one CRC-framed reply under the
     {!Runner} worker contract: a whole unit's reply, then the next unit;
     a partial reply and exit [9] when drained at a seed boundary; exit
-    [10], a signal or a corrupt reply = failed attempt.  The reply pipe
-    is also the worker's exit channel, and no worker outlives {!run}.
+    [10], a signal or a corrupt reply = failed attempt.  No worker
+    outlives {!run}.
 
     {1 Hang hunting}
 

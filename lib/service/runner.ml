@@ -1,12 +1,8 @@
-(* The shared job-execution layer under the service front ends: the
-   one-shot [Batch] supervisor, the [Fleet] and the long-lived [Daemon].
-
-   Everything here is the per-attempt machinery: turning a job into a
-   program plus cache keys, the worker processes (persistent workers fed
-   over a request pipe for batch and fleet, a fork per attempt for the
-   daemon), the CRC-framed replies, and the JSONL records the front ends
-   stream.  The scheduling policies (retry queues, fairness, drain) stay
-   with the callers. *)
+(* The shared job-execution layer under the service front ends: turning
+   a job into a program plus cache keys, the worker processes
+   (persistent workers fed over a request pipe for batch and fleet, a
+   fork per attempt for the daemon), the CRC-framed replies, and the
+   JSONL records.  Scheduling is [Supervise]'s. *)
 
 type exec = {
   x_model : Worker.model;
@@ -302,14 +298,6 @@ let receive (w : worker) =
       | `Bad ->
           kill w;
           Corrupt)
-
-let idle_alive w =
-  match receive w with
-  | Nothing -> true
-  | Died _ | Corrupt -> false
-  | Reply _ ->
-      kill w;
-      false
 
 (* --- waking the supervisor --------------------------------------------------- *)
 

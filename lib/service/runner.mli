@@ -1,36 +1,26 @@
 (** Shared job-execution machinery under the service front ends.
 
-    The one-shot {!Batch} supervisor, the {!Fleet} and the long-lived
-    {!Daemon} schedule work, but none of them verifies anything
+    {!Batch}, {!Fleet} and {!Daemon} schedule work but verify nothing
     in-process: every attempt runs in a forked worker.  This module is
-    that per-attempt layer — materializing a {!Job.t} into a program
-    plus cache keys, the worker processes, the CRC-framed replies, and
-    the JSONL records the front ends stream — so the supervisors cannot
-    drift apart on exit-status conventions or record shapes.
+    that per-attempt layer — materializing a {!Job.t}, the worker
+    processes and their CRC-framed replies, waking the supervisor, and
+    the JSONL records — so the front ends cannot drift apart on
+    exit-status conventions or record shapes.  How work is scheduled,
+    retried and checkpointed is {!Supervise}'s.
 
     Batch and fleet fork each worker slot once per run
-    ({!fork_persistent}): the worker takes its next job over a request
-    pipe and answers with a CRC frame on a reply pipe, whose EOF is also
-    its exit channel.  The daemon is the one remaining per-attempt
-    forker ({!spawn}).  It still reaps on a 20 ms [select] tick, so its
-    misses wait on the tick, not on the fork, and a persistent pool
-    would not show.  Making it faster is held back on purpose: the
-    [serve-mixed] benchmark keeps every repetition's records in the
-    process the daemon is forked from, so a faster daemon runs more
-    repetitions and raises that workload's peak RSS past its bound.
-    Once the benchmark drops its records, the daemon can wake on exit
-    channels and move onto persistent workers too.
-
-    Scheduling policy (retry queues, backoff, fairness, drain) stays
-    with the callers.  What is shared is how a supervisor waits: every
-    worker has an exit channel, and {!sleep_until} sleeps until a
-    channel, a socket or a drain signal speaks, or the next deadline
-    falls due.
+    ({!fork_persistent}, driven by {!Supervise.run_pool}).  The daemon
+    is the one per-attempt forker ({!spawn}) and reaps on a 20 ms tick,
+    on purpose: the [serve-mixed] benchmark keeps every repetition's
+    records in the process the daemon is forked from, so a faster daemon
+    runs more repetitions and raises that workload's peak RSS past its
+    bound.  Once the benchmark drops its records, the daemon can join
+    the pool.
 
     {1 Worker exit-status contract}
 
     A worker ends an attempt in exactly one of these ways, and every
-    supervisor classifies them identically:
+    supervisor classifies them identically ({!Supervise.exited}):
 
     - a valid reply (persistent worker) or exit [0] with a valid result
       file (daemon) — a verdict; the supervisor caches and streams it.
@@ -42,8 +32,8 @@
       failed, it returns to the pending queue for the resume.
     - exit [10] — the verification engine raised; the exception text is
       on stderr.  Failed attempt.
-    - killed by a signal — [SIGKILL] from the supervisor's timeout, or
-      anything else (OOM killer, crash).  Failed attempt. *)
+    - killed by a signal — [SIGKILL] from the supervisor's hang rule or
+      timeout, or anything else (OOM killer, crash).  Failed attempt. *)
 
 (** {1 Execution parameters} *)
 
@@ -189,12 +179,6 @@ val receive : worker -> event
 (** [receive w] is called when [w.rsp] is readable.  After [Died] or
     [Corrupt] the worker is reaped and its descriptors are closed: drop
     it. *)
-
-val idle_alive : worker -> bool
-(** [idle_alive w] is {!receive} for a worker with no job, called when
-    its [rsp] is readable.  An idle worker speaks only to die, so
-    [false] means it is gone and reaped; a reply nobody asked for is a
-    protocol breach, and the worker is SIGKILLed and reaped too. *)
 
 val retire : worker -> Unix.process_status
 (** [retire w] closes both pipes and waits for [w] with a blocking

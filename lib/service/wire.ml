@@ -142,3 +142,159 @@ let render_request = function
 
 let ok payload = if payload = "" then "OK" else "OK " ^ payload
 let err code msg = Printf.sprintf "ERR %d %s" code msg
+
+(* --- the connection server --------------------------------------------------- *)
+
+type 'a conn = {
+  fd : Unix.file_descr;
+  dec : decoder;
+  out : Buffer.t;
+  mutable hello : bool;
+  mutable closing : bool;
+  mutable dead : bool;
+  data : 'a;
+}
+
+type 'a server = {
+  listen : Unix.file_descr;
+  path : string;
+  mutable conns : 'a conn list;
+}
+
+let listen path =
+  (* A leftover socket file from a crashed server must not block a
+     restart, but a served one must: probe by connecting. *)
+  (match Unix.stat path with
+  | { Unix.st_kind = Unix.S_SOCK; _ } -> (
+      let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      match Unix.connect probe (Unix.ADDR_UNIX path) with
+      | () ->
+          Unix.close probe;
+          failwith (path ^ ": a daemon is already serving this socket")
+      | exception Unix.Unix_error _ ->
+          Unix.close probe;
+          (try Unix.unlink path with Unix.Unix_error _ -> ()))
+  | _ -> failwith (path ^ " exists and is not a socket")
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try Unix.bind fd (Unix.ADDR_UNIX path)
+   with Unix.Unix_error (e, _, _) ->
+     Unix.close fd;
+     failwith (Printf.sprintf "cannot bind %s: %s" path (Unix.error_message e)));
+  Unix.listen fd 64;
+  Unix.set_nonblock fd;
+  { listen = fd; path; conns = [] }
+let conns srv = List.filter (fun c -> not c.dead) srv.conns
+let send c payload = Buffer.add_string c.out (frame payload)
+
+let close c =
+  if not c.dead then begin
+    c.dead <- true;
+    try Unix.close c.fd with Unix.Unix_error _ -> ()
+  end
+
+let accept srv ~admit =
+  let rec go () =
+    match Unix.accept srv.listen with
+    | exception Unix.Unix_error _ -> ()
+    | fd, _ ->
+        (match admit () with
+        | Error msg ->
+            (* Refuse politely: one frame, then close. *)
+            let m = frame (err e_draining msg) in
+            (try ignore (Unix.write_substring fd m 0 (String.length m))
+             with Unix.Unix_error _ -> ());
+            (try Unix.close fd with Unix.Unix_error _ -> ())
+        | Ok data ->
+            Unix.set_nonblock fd;
+            srv.conns <-
+              {
+                fd;
+                dec = decoder ();
+                out = Buffer.create 256;
+                hello = false;
+                closing = false;
+                dead = false;
+                data;
+              }
+              :: srv.conns);
+        go ()
+  in
+  go ()
+
+let hello c v =
+  if String.equal v greeting then begin
+    c.hello <- true;
+    send c
+      (ok (Printf.sprintf "%s engine=%s" greeting Verdict_cache.engine_version))
+  end
+  else
+    send c
+      (err e_hello
+         (Printf.sprintf "unsupported version %S, this server speaks %s" v
+            greeting))
+
+let read c handle =
+  let buf = Bytes.create 4096 in
+  match Unix.read c.fd buf 0 4096 with
+  | exception
+      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+      ()
+  | exception Unix.Unix_error _ -> close c
+  | 0 -> close c
+  | n ->
+      feed c.dec (Bytes.sub_string buf 0 n);
+      let rec pump () =
+        match next c.dec with
+        | Ok None -> ()
+        | Ok (Some payload) ->
+            (match parse_request payload with
+            | Ok (Hello v) -> hello c v
+            | Ok _ when not c.hello -> send c (err e_hello "say HELLO first")
+            | Ok Ping -> send c (ok "pong")
+            | Ok Bye ->
+                send c (ok "bye");
+                c.closing <- true
+            | Ok req -> handle c req
+            | Error (code, msg) -> send c (err code msg));
+            if not c.closing then pump ()
+        | Error e ->
+            (* Framing violations latch: answer once, then hang up. *)
+            send c (err e_bad ("framing: " ^ e));
+            c.closing <- true
+      in
+      pump ()
+
+let write c =
+  let s = Buffer.contents c.out in
+  let len = String.length s in
+  if len > 0 then (
+    match Unix.write_substring c.fd s 0 len with
+    | n ->
+        Buffer.clear c.out;
+        if n < len then Buffer.add_substring c.out s n (len - n)
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+        ()
+    | exception Unix.Unix_error _ -> close c);
+  if c.closing && Buffer.length c.out = 0 then close c
+
+let fds srv =
+  ( srv.listen :: List.map (fun c -> c.fd) srv.conns,
+    List.filter_map
+      (fun c -> if Buffer.length c.out > 0 || c.closing then Some c.fd else None)
+      srv.conns )
+
+let service srv ~admit ~handle rs ws =
+  if List.mem srv.listen rs then accept srv ~admit;
+  List.iter (fun c -> if (not c.dead) && List.mem c.fd rs then read c handle) srv.conns;
+  List.iter (fun c -> if (not c.dead) && List.mem c.fd ws then write c) srv.conns;
+  srv.conns <- List.filter (fun c -> not c.dead) srv.conns
+
+let flush srv = List.iter write srv.conns
+
+let shutdown srv =
+  List.iter close srv.conns;
+  srv.conns <- [];
+  (try Unix.close srv.listen with Unix.Unix_error _ -> ());
+  try Unix.unlink srv.path with Unix.Unix_error _ -> ()

@@ -140,3 +140,61 @@ val e_gone : int
 
 val e_draining : int
 (** [503] — server draining, submission refused. *)
+
+(** {1 The connection server}
+
+    The daemon and the fleet's stats socket serve clients the same way:
+    a non-blocking listening socket, and per connection a {!decoder}, a
+    buffered output and the [HELLO] gate.  One {!service} call accepts,
+    reads and writes whatever a [select] found ready. *)
+
+type 'a conn = private {
+  fd : Unix.file_descr;
+  dec : decoder;
+  out : Buffer.t;  (** framed responses awaiting a writable socket *)
+  mutable hello : bool;
+  mutable closing : bool;  (** flush [out], then close *)
+  mutable dead : bool;
+  data : 'a;  (** the server's own per-connection state *)
+}
+
+type 'a server
+(** A listening socket and its live connections. *)
+
+val listen : string -> 'a server
+(** [listen path] binds a Unix-domain socket at [path].  A
+    socket file nobody serves any more is replaced.
+    @raise Failure when a live server already answers at [path], when
+    [path] is not a socket, or when the bind fails. *)
+
+val conns : 'a server -> 'a conn list
+(** The live connections, newest first. *)
+
+val send : 'a conn -> string -> unit
+(** Frame a response payload and buffer it for the next write. *)
+
+val fds : 'a server -> Unix.file_descr list * Unix.file_descr list
+(** The descriptors to [select] on: the listening socket and every
+    connection for reading; connections with output or closing for
+    writing. *)
+
+val service :
+  'a server ->
+  admit:(unit -> ('a, string) result) ->
+  handle:('a conn -> request -> unit) ->
+  Unix.file_descr list ->
+  Unix.file_descr list ->
+  unit
+(** [service srv ~admit ~handle rs ws] serves the descriptors a
+    [select] found ready.  Each new connection asks [admit]: [Error msg]
+    refuses it with one [ERR 503 msg] frame.  The server answers
+    [HELLO], [PING] and [BYE] itself, [ERR 401] to any other verb before
+    [HELLO], and a malformed request or a framing violation (which
+    closes the connection); every other request goes to [handle]. *)
+
+val flush : 'a server -> unit
+(** Try once to write every connection's buffered output. *)
+
+val shutdown : 'a server -> unit
+(** Close every connection and the listening socket, and unlink the
+    socket path. *)

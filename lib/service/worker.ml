@@ -17,10 +17,10 @@ let model_name = function
   | Unconstrained -> "all"
   | No_check -> "none"
 
-let obeys model prog =
+let obeys model ~sc prog =
   match model with
-  | Drf0 -> Drf.obeys ~model:Drf.DRF0 prog
-  | Drf1 -> Drf.obeys ~model:Drf.DRF1 prog
+  | Drf0 -> Drf.obeys ~model:Drf.DRF0 ~sc prog
+  | Drf1 -> Drf.obeys ~model:Drf.DRF1 ~sc prog
   | Unconstrained -> true
   | No_check -> false
 
@@ -38,7 +38,7 @@ let run ?cancel ?fuel ?spill_dir ?mem_budget ~model ~machine prog =
       let outs = Explore.bounded_value r.Explore.result in
       let sc = Sc.outcomes prog in
       let appears_sc = Final.Set.subset outs sc in
-      let obeys_model = obeys model prog in
+      let obeys_model = obeys model ~sc:(Lazy.from_val sc) prog in
       let complete =
         Explore.is_complete r.Explore.result && stop = None
       in

@@ -107,8 +107,9 @@ let test_naive_agrees () =
 
 (* [obeys] decides without listing races, and skips the sync-order search
    when a race is certain; its verdict must be exactly "no race witness"
-   from the reference [races], under both models.  Generated programs are
-   taken as generated, deadlocking ones included. *)
+   from the reference [races], under both models, whether it sweeps SC
+   itself or is handed the SC outcome set.  Generated programs are taken
+   as generated, deadlocking ones included. *)
 let test_obeys_equals_no_races () =
   let generated =
     List.concat_map
@@ -126,8 +127,12 @@ let test_obeys_equals_no_races () =
     (fun p ->
       List.iter
         (fun model ->
-          if Drf.obeys ~model p <> (Drf.races ~model p = []) then
+          let expected = Drf.races ~model p = [] in
+          if Drf.obeys ~model p <> expected then
             Alcotest.failf "obeys <> (races = []) under %a on %s:@.%a"
+              Drf.pp_model model (Prog.name p) Prog.pp p;
+          if Drf.obeys ~model ~sc:(lazy (Sc.outcomes p)) p <> expected then
+            Alcotest.failf "obeys ~sc <> (races = []) under %a on %s:@.%a"
               Drf.pp_model model (Prog.name p) Prog.pp p)
         [ Drf.DRF0; Drf.DRF1 ])
     corpus

@@ -1,7 +1,8 @@
 (* The batch verification service's in-process pieces: the job-file
    parser, the CRC-validated verdict cache, the deterministic retry
    backoff, the worker's verdict computation, the exit channels, and
-   small end-to-end runs of the batch and fleet supervisors.  This suite
+   small end-to-end runs of the batch, fleet and daemon supervisors (the
+   last two forked, so the test can talk to their sockets).  This suite
    runs first (test/main.ml): OCaml 5 refuses [Unix.fork] once any
    domain has been spawned, and later suites spawn some.  The rest of the process-level
    machinery (kill -9 of a worker, drain/resume identity) is exercised
@@ -216,7 +217,7 @@ let test_cache_torn_tail () =
 (* --- retry backoff ----------------------------------------------------------- *)
 
 let test_backoff () =
-  let d ~attempt ~job_id = Batch.backoff_delay_ms ~base:100 ~attempt ~job_id in
+  let d ~attempt ~job_id = Supervise.backoff_delay_ms ~base:100 ~attempt ~job_id in
   check_int "deterministic" (d ~attempt:1 ~job_id:7) (d ~attempt:1 ~job_id:7);
   (* Exponential envelope: base * 2^(attempt-1) <= delay < that + base. *)
   List.iter
@@ -230,7 +231,7 @@ let test_backoff () =
   check "jitter varies across jobs" true
     (List.exists (fun v -> v <> List.hd delays) delays);
   check_int "zero base is immediate" 0
-    (Batch.backoff_delay_ms ~base:0 ~attempt:3 ~job_id:1)
+    (Supervise.backoff_delay_ms ~base:0 ~attempt:3 ~job_id:1)
 
 (* --- worker ------------------------------------------------------------------ *)
 
@@ -807,6 +808,206 @@ let test_idle_worker_exits_beside_a_wedge () =
       Runner.kill idle;
       Alcotest.fail "the idle worker never saw EOF beside its wedged sibling"
 
+(* --- checkpoint lag, the daemon and the fleet's stats socket ------------------ *)
+
+let wait_for ~what ?(secs = 10.) cond =
+  let t_end = Unix.gettimeofday () +. secs in
+  let rec go () =
+    if not (cond ()) then
+      if Unix.gettimeofday () > t_end then Alcotest.failf "timed out waiting for %s" what
+      else begin
+        Unix.sleepf 0.02;
+        go ()
+      end
+  in
+  go ()
+
+let lines path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
+  | exception Sys_error _ -> []
+
+let job_ids recs = List.map (fun r -> Scanf.sscanf r {|{"job":%d|} Fun.id) recs
+
+let test_batch_checkpoint_keeps_up () =
+  (* A burst of quick records, then one long job: the checkpoint must
+     list the burst while the long job still runs, or a supervisor
+     killed then re-runs the burst on --resume and streams it twice. *)
+  let jobs = parse_ok "machine def2\nseeds 0..5\nwedge\n" in
+  let out = tmp_path ".jsonl" and ck = tmp_path ".ckpt" in
+  Sys.remove ck;
+  let cfg =
+    {
+      (batch_cfg out) with
+      workers = 2;
+      timeout_s = 3.;
+      retries = 1;
+      cache = Verdict_cache.in_memory ();
+      checkpoint = Some ck;
+    }
+  in
+  (* The supervisor leads its own process group, so one kill reaches
+     its workers too. *)
+  let pid =
+    Runner.fork_worker (fun () ->
+        ignore (Unix.setsid () : int);
+        ignore (Batch.run cfg jobs : Batch.summary))
+  in
+  let kill_all () =
+    (try Unix.kill (-pid) Sys.sigkill with Unix.Unix_error _ -> ());
+    ignore (Unix.waitpid [] pid : int * Unix.process_status);
+    (* A killed supervisor leaves its scratch directory behind. *)
+    let dir =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "weakord-batch-%d" pid)
+    in
+    try
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir
+    with Sys_error _ -> ()
+  in
+  (match
+     wait_for ~what:"the quick records" (fun () -> List.length (lines out) >= 6);
+     Unix.sleepf 0.5
+   with
+  | () -> ()
+  | exception e ->
+      kill_all ();
+      raise e);
+  check "the wedge still runs" true (alive pid);
+  kill_all ();
+  let s = Batch.run { cfg with resume = Some ck; timeout_s = 0.2 } jobs in
+  let ids = job_ids (lines out) in
+  List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ out; ck; ck ^ ".prev" ];
+  check_int "the resume finishes the wedge alone" 1 s.Batch.quarantined_total;
+  check "every job streamed exactly once" true
+    (List.sort compare ids = List.map (fun (j : Job.t) -> j.Job.id) jobs);
+  no_children "batch, after a kill and a resume"
+
+let connect path =
+  let rec go n =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> fd
+    | exception Unix.Unix_error _ when n > 0 ->
+        Unix.close fd;
+        Unix.sleepf 0.05;
+        go (n - 1)
+  in
+  go 200
+
+(* One request, one response, on a blocking socket. *)
+let request fd dec payload =
+  let f = Wire.frame payload in
+  ignore (Unix.write_substring fd f 0 (String.length f) : int);
+  let buf = Bytes.create 4096 in
+  let rec read () =
+    match Wire.next dec with
+    | Ok (Some r) -> r
+    | Error e -> Alcotest.failf "bad frame from the server: %s" e
+    | Ok None ->
+        let n = Unix.read fd buf 0 4096 in
+        if n = 0 then Alcotest.fail "the server hung up";
+        Wire.feed dec (Bytes.sub_string buf 0 n);
+        read ()
+  in
+  read ()
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+let test_daemon_in_process () =
+  let socket = tmp_path ".sock" in
+  Sys.remove socket;
+  let pid =
+    Runner.fork_worker (fun () ->
+        ignore
+          (Daemon.run
+             {
+               Daemon.default_cfg with
+               Daemon.socket;
+               workers = 2;
+               cache = Verdict_cache.in_memory ();
+             }
+            : Daemon.summary))
+  in
+  let fd = connect socket and dec = Wire.decoder () in
+  let ask = request fd dec in
+  check "HELLO is answered" true
+    (starts_with ~prefix:"OK weakord/1 engine=" (ask ("HELLO " ^ Wire.greeting)));
+  check_string "a miss gets ticket 0" "OK ticket=0" (ask "SUBMIT seed 3");
+  let miss = ask "RESULT 0 WAIT" in
+  check_string "a repeat gets ticket 1" "OK ticket=1" (ask "SUBMIT seed 3");
+  let hit = ask "RESULT 1 WAIT" in
+  let late = connect socket in
+  check "a request before HELLO is refused" true
+    (starts_with ~prefix:"ERR 401" (request late (Wire.decoder ()) "PING"));
+  Unix.close late;
+  let stats = ask "STATS" in
+  check "DRAIN is acknowledged" true (starts_with ~prefix:"OK draining" (ask "DRAIN"));
+  let _, status = Unix.waitpid [] pid in
+  Unix.close fd;
+  check "the daemon returns" true (status = Unix.WEXITED 0);
+  check "one verdict came from the cache" true
+    (contains ~sub:{|"served_from_cache":1,|} stats);
+  check "the repeat is a cache hit" true (contains ~sub:{|"cached":true|} hit);
+  let j = List.hd (parse_ok "seed 3\n") in
+  let prog, _, _ = Option.get (Runner.materialize ~model:Worker.Drf0 j).Runner.m_prog in
+  (match Worker.run ~model:Worker.Drf0 ~machine:Machines.def2 prog with
+  | Ok v ->
+      List.iter
+        (fun (id, r) ->
+          check_string
+            (Printf.sprintf "ticket %d equals the in-process verdict" id)
+            ("OK "
+            ^ strip_trailer
+                (Runner.verdict_record { j with Job.id } v ~cached:false ~attempts:1
+                   ~ms:0.))
+            (strip_trailer r))
+        [ (0, miss); (1, hit) ]
+  | Error `Cancelled -> Alcotest.fail "in-process run cancelled");
+  no_children "daemon"
+
+let test_fleet_stats_socket () =
+  let socket = tmp_path ".sock" and out = tmp_path ".jsonl" in
+  Sys.remove socket;
+  (* The one seed wedges, which keeps the campaign serving until the
+     hang rule poisons it, however slow the host. *)
+  let pid =
+    Runner.fork_worker (fun () ->
+        ignore
+          (Fleet.run
+             {
+               Fleet.default_cfg with
+               Fleet.shards = 1;
+               wedge_seeds = [ 0 ];
+               hang_timeout_s = 2.;
+               retries = 1;
+               stats_socket = Some socket;
+               out = Some out;
+             }
+             ~lo:0 ~hi:0
+            : Fleet.summary))
+  in
+  let fd = connect socket and dec = Wire.decoder () in
+  let ask = request fd dec in
+  check "HELLO is answered" true
+    (starts_with ~prefix:"OK weakord/1" (ask ("HELLO " ^ Wire.greeting)));
+  let submit = ask "SUBMIT seed 1" in
+  let stats = ask "STATS" in
+  let drain = ask "DRAIN" in
+  let _, status = Unix.waitpid [] pid in
+  Unix.close fd;
+  Sys.remove out;
+  check "SUBMIT is an unknown verb here" true
+    (starts_with ~prefix:(Printf.sprintf "ERR %d" Wire.e_unknown) submit);
+  check "STATS answers with the gauges" true
+    (starts_with ~prefix:{|OK {"shards":|} stats);
+  check "DRAIN is acknowledged" true (starts_with ~prefix:"OK draining" drain);
+  check "the fleet returns" true (status = Unix.WEXITED 0);
+  no_children "fleet with a stats socket"
+
 let test_job_profile_opt () =
   let jobs = parse_ok "seed 4 profile=wide\n" in
   (match (List.hd jobs).Job.source with
@@ -887,4 +1088,10 @@ let suite =
         test_no_process_outlives;
       Alcotest.test_case "persistent: an idle worker exits beside a wedge"
         `Quick test_idle_worker_exits_beside_a_wedge;
+      Alcotest.test_case "batch: the checkpoint keeps up with a burst" `Quick
+        test_batch_checkpoint_keeps_up;
+      Alcotest.test_case "daemon: a miss, a hit and a drain in process" `Quick
+        test_daemon_in_process;
+      Alcotest.test_case "fleet: the stats socket refuses job verbs" `Quick
+        test_fleet_stats_socket;
     ] )
