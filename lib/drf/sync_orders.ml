@@ -22,14 +22,11 @@ module Tuple_set = Set.Make (struct
   let compare = compare
 end)
 
-(* The default [Hashtbl.hash] reads only the first ten nodes of a key, so
-   states that differ past them share a bucket; [Sem.key_hash] reads
-   deeper. *)
 module Memo = Hashtbl.Make (struct
   type t = Sem.key
 
-  let hash = Sem.key_hash
-  let equal = Sem.key_equal
+  let hash = Key.hash
+  let equal = Key.equal
 end)
 
 let empty_tuple sync_locs = List.map (fun l -> (l, [])) sync_locs

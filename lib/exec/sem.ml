@@ -7,7 +7,11 @@ module Smap = Exp.Smap
 
 type thread_state = { next : int; regs : int Smap.t }
 
-type state = { memory : int Smap.t; threads : thread_state array }
+type state = {
+  memory : int Smap.t;
+  threads : thread_state array;
+  lay : Layout.t;
+}
 
 let initial prog =
   {
@@ -15,6 +19,7 @@ let initial prog =
     threads =
       Array.init (Prog.num_threads prog) (fun _ ->
           { next = 0; regs = Smap.empty });
+    lay = Layout.cached prog;
   }
 
 let read_mem memory loc =
@@ -70,21 +75,22 @@ let step prog state p =
       | Some (memory, regs) ->
           let threads = Array.copy state.threads in
           threads.(p) <- { next = ts.next + 1; regs };
-          Some { memory; threads })
+          Some { state with memory; threads })
 
 let final_of_state state =
   Final.make ~memory:state.memory
     ~regs:(Array.map (fun ts -> ts.regs) state.threads)
 
-(* A canonical, structurally-comparable key for memoization. *)
-type key = int array * (string * int) list * (string * int) list array
+(* The packed key: the memory segment, then per thread its [next] and
+   its register segment (see {!Layout}) — the processor-record layout
+   every machine key shares. *)
+type key = int array
 
 let key_of_state state : key =
-  ( Array.map (fun ts -> ts.next) state.threads,
-    Smap.bindings state.memory,
-    Array.map (fun ts -> Smap.bindings ts.regs) state.threads )
-
-(* [Hashtbl.hash]'s default 10-meaningful-node cap collides on states that
-   differ only deep in a register file; widen the traversal. *)
-let key_hash (k : key) = Hashtbl.hash_param 128 256 k
-let key_equal (a : key) (b : key) = a = b
+  let e = Layout.encoder state.lay ~fixed:1 ~width:0 ~entries:0 state.memory in
+  Array.iteri
+    (fun p ts ->
+      Layout.int e ts.next;
+      Layout.regs e p ts.regs)
+    state.threads;
+  Layout.finish e

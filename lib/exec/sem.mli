@@ -5,7 +5,11 @@
 module Smap = Exp.Smap
 
 type thread_state = { next : int; regs : int Smap.t }
-type state = { memory : int Smap.t; threads : thread_state array }
+type state = {
+  memory : int Smap.t;
+  threads : thread_state array;
+  lay : Layout.t;  (** the program's dense ids, for {!key_of_state} *)
+}
 
 val initial : Prog.t -> state
 val read_mem : int Smap.t -> string -> int
@@ -20,12 +24,10 @@ val step : Prog.t -> state -> int -> state option
 
 val final_of_state : state -> Final.t
 
-type key = int array * (string * int) list * (string * int) list array
+type key = int array
 
 val key_of_state : state -> key
-(** Canonical structural key for memoizing state exploration. *)
-
-val key_hash : key -> int
-val key_equal : key -> key -> bool
-(** Hash/equality for {!key}, suitable for [Hashtbl.Make] — structural, no
-    marshalling. *)
+(** Packed key for memoizing state exploration: the memory as a
+    {!Layout} binding segment, then per thread its [next] and its
+    register segment.  Injective on states of one program; hash and
+    compare it with [Key]. *)

@@ -33,6 +33,10 @@ type perm = {
   p_reg : (string * string) list array;
       (** per {e old} processor: register bijection (old, new) into
           processor [p_proc.(p)]'s register space *)
+  p_locs : int array;  (** [p_loc] on {!Layout} location ids *)
+  p_regs : int array array;
+      (** [p_reg] on {!Layout} register ids: per old processor [p], into
+          processor [p_proc.(p)]'s ids *)
 }
 
 type t = {
@@ -52,20 +56,6 @@ let assoc_default x l = match List.assoc_opt x l with Some y -> y | None -> x
 let proc pi p = pi.p_proc.(p)
 let rename_loc pi l = assoc_default l pi.p_loc
 let rename_reg pi ~proc:p r = assoc_default r pi.p_reg.(p)
-
-let permute_procs pi f a =
-  let n = Array.length a in
-  let out = Array.make n a.(0) in
-  for p = 0 to n - 1 do
-    out.(pi.p_proc.(p)) <- f p a.(p)
-  done;
-  out
-
-let rename_bindings pi l =
-  List.sort compare (List.map (fun (loc, v) -> (rename_loc pi loc, v)) l)
-
-let rename_reg_bindings pi ~proc:p l =
-  List.sort compare (List.map (fun (r, v) -> (rename_reg pi ~proc:p r, v)) l)
 
 let apply_final pi (f : Final.t) =
   let memory =
@@ -158,7 +148,7 @@ let permutations n =
   |> List.map Array.of_list
   |> List.filter (fun a -> not (Array.for_all (fun i -> a.(i) = i) (Array.init n Fun.id)))
 
-let automorphism_of prog threads pproc =
+let automorphism_of prog lay threads pproc =
   let n = Array.length threads in
   (* Shape prune: corresponding threads must have equal lengths. *)
   for p = 0 to n - 1 do
@@ -190,10 +180,28 @@ let automorphism_of prog threads pproc =
   in
   if norm (List.map (fun (l, v) -> (ren l, v)) init) <> norm init then
     raise No_fit;
+  let pi =
+    {
+      p_proc = pproc;
+      p_loc = Smap.bindings lb.fwd;
+      p_reg = Array.map (fun b -> Smap.bindings b.fwd) rbs;
+      p_locs = [||];
+      p_regs = [||];
+    }
+  in
+  (* The same bijections on dense ids.  Written registers map to written
+     registers (unification pairs instruction targets), so every image
+     has an id. *)
   {
-    p_proc = pproc;
-    p_loc = Smap.bindings lb.fwd;
-    p_reg = Array.map (fun b -> Smap.bindings b.fwd) rbs;
+    pi with
+    p_locs = Array.map (fun l -> Layout.loc_id lay (rename_loc pi l)) lay.Layout.locs;
+    p_regs =
+      Array.mapi
+        (fun p rs ->
+          Array.map
+            (fun r -> Layout.reg_id lay ~proc:pproc.(p) (rename_reg pi ~proc:p r))
+            rs)
+        lay.Layout.regs;
   }
 
 let of_prog prog =
@@ -201,10 +209,11 @@ let of_prog prog =
   if n < 2 || n > max_threads then trivial
   else begin
     let threads = Array.of_list (Prog.threads prog) in
+    let lay = Layout.cached prog in
     let perms =
       List.filter_map
         (fun pproc ->
-          match automorphism_of prog threads pproc with
+          match automorphism_of prog lay threads pproc with
           | a -> Some a
           | exception No_fit -> None)
         (permutations n)

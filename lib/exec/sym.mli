@@ -21,6 +21,12 @@ type perm = {
   p_reg : (string * string) list array;
       (** per {e old} processor [p]: register bijection into processor
           [p_proc.(p)]'s register space *)
+  p_locs : int array;
+      (** the location bijection on the program's {!Layout} ids: old id
+          [l] becomes [p_locs.(l)] *)
+  p_regs : int array array;
+      (** per old processor [p]: the register bijection on {!Layout} ids,
+          into processor [p_proc.(p)]'s ids *)
 }
 (** One non-identity automorphism.  Plain structural data: safe to
     marshal, compare and share across domains. *)
@@ -49,28 +55,15 @@ val cached : Prog.t -> t
 
 (** {2 Applying a permutation}
 
-    Helpers the machines' [permute] implementations are built from.  All
-    renamings default to the identity outside the recorded bijections, so
-    callers need not special-case untouched names. *)
+    All renamings default to the identity outside the recorded bijections,
+    so callers need not special-case untouched names.  Machine keys are
+    permuted on the dense ids ([p_locs], [p_regs]) by [Key], not by name. *)
 
 val proc : perm -> int -> int
 (** The image of a processor index. *)
 
 val rename_loc : perm -> string -> string
 val rename_reg : perm -> proc:int -> string -> string
-
-val permute_procs : perm -> (int -> 'a -> 'a) -> 'a array -> 'a array
-(** [permute_procs pi f a] is the array [out] with
-    [out.(proc pi p) = f p a.(p)] — the per-processor component move
-    every machine key shares.  [a] must be non-empty. *)
-
-val rename_bindings : perm -> (string * int) list -> (string * int) list
-(** Rename the keys of a sorted location-binding list and re-sort (the
-    renaming does not preserve [Smap.bindings] order). *)
-
-val rename_reg_bindings :
-  perm -> proc:int -> (string * int) list -> (string * int) list
-(** Same for a processor's register-binding list. *)
 
 val apply_final : perm -> Final.t -> Final.t
 (** The image of an outcome: memory relocated, register files moved to

@@ -180,10 +180,21 @@ module Make (M : Machine_sig.MACHINE) = struct
     type t = hkey
 
     let hash k = k.kh
-    let equal a b = a.kh = b.kh && M.equal a.kk b.kk
+    let equal a b = a.kh = b.kh && Key.equal a.kk b.kk
   end)
 
-  let hkey k = { kh = M.hash k; kk = k }
+  let hkey k = { kh = Key.hash k; kk = k }
+
+  (* The least key of the state's orbit under the program's automorphism
+     group ([perms] compiled once per run), so the transposition-table
+     probe identifies a state with every symmetric image of it.  One
+     scratch [out] per engine or worker.  [sym_hits] counts the probes
+     where a non-identity image was smaller than the state's own key. *)
+  let orbit_key o perms sym_hits st =
+    let k = M.canon st in
+    let m = Key.orbit_min M.image o perms k in
+    if m != k then incr sym_hits;
+    m
 
   (* --- snapshots ------------------------------------------------------------ *)
 
@@ -217,10 +228,10 @@ module Make (M : Machine_sig.MACHINE) = struct
             the verbose report stays byte-identical across kill/resume *)
   }
 
-  (* "explore4": the Bloom-filter visited representation and the
-     degradation mark left the resume payload; older snapshots are
-     rejected by kind rather than misread. *)
-  let snap_kind = "weakord.explore4/" ^ M.name
+  (* "explore5": keys are packed int arrays (explore4 keys were
+     structural tuples of binding lists); older snapshots are rejected by
+     kind rather than misread. *)
+  let snap_kind = "weakord.explore5/" ^ M.name
 
   let fingerprint prog =
     Format.asprintf "%s|%a" (Prog.name prog) Prog.pp prog
@@ -232,35 +243,32 @@ module Make (M : Machine_sig.MACHINE) = struct
            (List.length s.s_frontier))
       ~payload:(Marshal.to_string s [])
 
-  let decode_snap ~prog bytes =
+  (* The kind is checked before the payload is touched: a frame from
+     another engine version is never unmarshalled. *)
+  let unframe_snap bytes =
     match Snapshot.unframe bytes with
     | Error e -> raise (Resume_rejected (Snapshot.error_string e))
-    | Ok c ->
+    | Ok c -> (
         if not (String.equal c.Snapshot.kind snap_kind) then
           raise
             (Resume_rejected
                (Printf.sprintf "snapshot was taken by %S, this engine is %S"
                   c.Snapshot.kind snap_kind));
-        let s =
-          try (Marshal.from_string c.Snapshot.payload 0 : snap)
-          with Failure _ | Invalid_argument _ ->
-            raise (Resume_rejected "snapshot payload does not unmarshal")
-        in
-        if not (String.equal s.s_fingerprint (fingerprint prog)) then
-          raise
-            (Resume_rejected
-               "snapshot was taken for a different program (fingerprint \
-                mismatch)");
-        s
-
-  let snapshot_frontier_length bytes =
-    match Snapshot.unframe bytes with
-    | Error e -> raise (Resume_rejected (Snapshot.error_string e))
-    | Ok c -> (
         match (Marshal.from_string c.Snapshot.payload 0 : snap) with
-        | s -> List.length s.s_frontier
+        | s -> s
         | exception (Failure _ | Invalid_argument _) ->
             raise (Resume_rejected "snapshot payload does not unmarshal"))
+
+  let decode_snap ~prog bytes =
+    let s = unframe_snap bytes in
+    if not (String.equal s.s_fingerprint (fingerprint prog)) then
+      raise
+        (Resume_rejected
+           "snapshot was taken for a different program (fingerprint \
+            mismatch)");
+    s
+
+  let snapshot_frontier_length bytes = List.length (unframe_snap bytes).s_frontier
 
   (* Sleep-set state only ever comes from a reduced *sequential* run, and
      only the sequential engine can honour its revisit protocol. *)
@@ -289,7 +297,7 @@ module Make (M : Machine_sig.MACHINE) = struct
      multi-domain request ([use_sleep:false], ample-only, so its visited
      set can be handed to the parallel engine at [spill]).  Returns the
      spill resume point instead of finishing when the threshold hits. *)
-  let run_seq ~oracle ~use_sleep ?spill ~perms ~store ~resumed ~fuel
+  let run_seq ~oracle ~use_sleep ?spill ~perms ~cperms ~store ~resumed ~fuel
       ~(rcfg : rcfg) prog =
     (* The interner doubles as the transposition table: a key's presence
        means the state was claimed; its value is the sleep set stored by
@@ -312,23 +320,7 @@ module Make (M : Machine_sig.MACHINE) = struct
     let stop = ref None in
     let spilled = ref false in
     let entry_bytes = entry_bytes_estimate prog in
-    (* The least key of the state's orbit under the program's automorphism
-       group: the transposition-table probe identifies a state with every
-       symmetric image of it.  [perms = []] is the identity fold — free. *)
-    let orbit_min k =
-      match perms with
-      | [] -> k
-      | _ ->
-          let m =
-            List.fold_left
-              (fun m pi ->
-                let k' = M.permute pi k in
-                if compare k' m < 0 then k' else m)
-              k perms
-          in
-          if m != k then incr sym_hits;
-          m
-    in
+    let scratch = Key.out () in
     (* Restore a resume point before the sweep starts. *)
     (match resumed with
     | None -> ()
@@ -555,7 +547,7 @@ module Make (M : Machine_sig.MACHINE) = struct
           if !stop <> None || !spilled then running := false
           else begin
             stack := rest;
-            let kk = orbit_min (M.canon st) in
+            let kk = orbit_key scratch cperms sym_hits st in
             (match store with
             | Some sp ->
                 if Spill_store.add sp (Marshal.to_string kk [ Marshal.No_sharing ])
@@ -758,7 +750,7 @@ module Make (M : Machine_sig.MACHINE) = struct
      set is schedule-independent.  (Sleep sets are a property of the
      visit order; they stay sequential.)  Per-worker reduction counters
      avoid atomic traffic; the parent sums them. *)
-  let worker sh oracle perms prog =
+  let worker sh oracle perms cperms prog =
     let acc = ref Final.Set.empty in
     let oracle_calls = ref 0 in
     let ample_hits = ref 0 in
@@ -771,20 +763,7 @@ module Make (M : Machine_sig.MACHINE) = struct
        first, and the ample choice is made on that member.  With
        symmetry on, the claimed-state count therefore depends on the
        schedule (the outcome set does not). *)
-    let orbit_min k =
-      match perms with
-      | [] -> k
-      | _ ->
-          let m =
-            List.fold_left
-              (fun m pi ->
-                let k' = M.permute pi k in
-                if compare k' m < 0 then k' else m)
-              k perms
-          in
-          if m != k then incr sym_hits;
-          m
-    in
+    let scratch = Key.out () in
     let expand st =
       match M.final prog st with
       | Some f ->
@@ -833,7 +812,7 @@ module Make (M : Machine_sig.MACHINE) = struct
         incr iters;
         if Atomic.get sh.stopping <> None then add_leftover sh st
         else
-          let kk = orbit_min (M.canon st) in
+          let kk = orbit_key scratch cperms sym_hits st in
           match sh.store with
           | Some sp ->
               (* Fuel is reserved *before* the claim: a spilled claim
@@ -896,7 +875,7 @@ module Make (M : Machine_sig.MACHINE) = struct
     loop ();
     (!acc, !oracle_calls, !ample_hits, !suppressed, !sym_hits)
 
-  let run_par ~oracle ~perms ~store ~resumed ~domains ~fuel ~(rcfg : rcfg)
+  let run_par ~oracle ~perms ~cperms ~store ~resumed ~domains ~fuel ~(rcfg : rcfg)
       prog =
     let sh =
       {
@@ -947,9 +926,9 @@ module Make (M : Machine_sig.MACHINE) = struct
     in
     let others =
       Array.init (domains - 1) (fun _ ->
-          Domain.spawn (fun () -> worker sh oracle perms prog))
+          Domain.spawn (fun () -> worker sh oracle perms cperms prog))
     in
-    let mine = worker sh oracle perms prog in
+    let mine = worker sh oracle perms cperms prog in
     let results = Array.append [| mine |] (Array.map Domain.join others) in
     let acc =
       Array.fold_left
@@ -1073,6 +1052,7 @@ module Make (M : Machine_sig.MACHINE) = struct
        group is nontrivial — unlike the oracle it has no size guard, the
        trivial group costing nothing. *)
     let perms = if rcfg.sym then (Sym.cached prog).Sym.perms else [] in
+    let cperms = List.map Key.compile perms in
     let sym_on = perms <> [] in
     let resumed =
       Option.map (fun bytes -> decode_snap ~prog bytes) rcfg.resume
@@ -1173,11 +1153,11 @@ module Make (M : Machine_sig.MACHINE) = struct
     if domains = 1 then
       finish
         (fst
-           (run_seq ~oracle ~use_sleep ~perms ~store ~resumed ~fuel ~rcfg
+           (run_seq ~oracle ~use_sleep ~perms ~cperms ~store ~resumed ~fuel ~rcfg
               prog))
     else if not adaptive then begin
       reject_sleeps ();
-      finish (run_par ~oracle ~perms ~store ~resumed ~domains ~fuel ~rcfg prog)
+      finish (run_par ~oracle ~perms ~cperms ~store ~resumed ~domains ~fuel ~rcfg prog)
     end
     else begin
       (* Adaptive parallelism: never spawn more domains than the machine
@@ -1196,13 +1176,13 @@ module Make (M : Machine_sig.MACHINE) = struct
               recognized; using the sequential engine" domains recommended);
         finish
           (fst
-             (run_seq ~oracle ~use_sleep ~perms ~store ~resumed ~fuel ~rcfg
+             (run_seq ~oracle ~use_sleep ~perms ~cperms ~store ~resumed ~fuel ~rcfg
                 prog))
       end
       else begin
         reject_sleeps ();
         let r, sp =
-          run_seq ~oracle ~use_sleep:false ~perms ~store ~resumed ~fuel
+          run_seq ~oracle ~use_sleep:false ~perms ~cperms ~store ~resumed ~fuel
             ~spill:spill_threshold_default ~rcfg prog
         in
         match sp with
@@ -1223,7 +1203,7 @@ module Make (M : Machine_sig.MACHINE) = struct
                  "adaptive parallelism: frontier spilled at %d state(s); \
                   fanning out to %d domain(s)" snapv.s_expanded eff);
             finish
-              (run_par ~oracle ~perms ~store ~resumed:(Some snapv)
+              (run_par ~oracle ~perms ~cperms ~store ~resumed:(Some snapv)
                  ~domains:eff ~fuel ~rcfg prog)
       end
     end

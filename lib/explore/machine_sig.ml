@@ -54,16 +54,20 @@ type 'state oracle = {
 module type MACHINE = sig
   type state
 
-  type key
-  (** A canonical, structurally comparable summary of a state.  Equal keys
-      must mean the same set of future behaviours.  Keys are built from
-      immutable data (ints, strings, tuples, lists, arrays) so they can be
-      hashed and compared cheaply and shared freely across domains — no
-      serialization involved. *)
+  type key = Key.t
+  (** The state's packed key (see {!Key}): a flat [int array] in the
+      program's dense {!Layout} ids.  Equal keys must mean the same set of
+      future behaviours, and the packing must be injective — an absent
+      binding differs from a binding to 0, and every list carries its
+      length — so that orbits of keys partition states exactly as orbits
+      of states do.  Immutable once built: keys are shared freely across
+      domains and marshalled into snapshots and spill runs. *)
 
   val name : string
 
   val initial : Prog.t -> state
+  (** Also where the state picks up the program's {!Layout}, which
+      [canon] writes in. *)
 
   val successors : Prog.t -> state -> state list
   (** All states reachable in one step.  The empty list on a non-final state
@@ -75,29 +79,32 @@ module type MACHINE = sig
       buffered effects drained). *)
 
   val canon : state -> key
-  (** Canonicalize a state for memoization.  Must be cheap: one structural
-      copy of the varying parts, no marshalling. *)
+  (** The state's key, written with {!Layout.encoder}: one [int array],
+      no marshalling. *)
 
   val hash : key -> int
+  (** {!Key.hash}: every int of the key takes part. *)
+
   val equal : key -> key -> bool
+  (** {!Key.equal}. *)
+
+  val image : Key.image
+  (** Writes the key of the permuted state, int by int in order, with
+      {!Key.put}: the machine's layout code.  Processors move to their
+      image with their registers renamed, location ids are renamed, and
+      global structures that are kept sorted by location or processor
+      (def2's reservations) are re-sorted.  Must satisfy
+      [canon (sigma st) = permute pi (canon st)] for the state map [sigma]
+      the automorphism [pi] induces; the orbit pruning in [Explore] is
+      sound exactly because of that equation. *)
 
   val permute : Sym.perm -> key -> key
-  (** The image of a canonical key under a program automorphism: memory
-      bindings relocated (and re-sorted — renaming does not preserve
-      binding order), per-processor components moved to the image
-      processor with registers/locations renamed, and any global
-      synchronization structures (reservation lists) renamed and
-      re-normalized.  Must satisfy
-      [canon (sigma st) = permute sigma (canon st)] for the state map
-      [sigma] the automorphism induces; the orbit-representative pruning
-      in [Explore] is sound exactly because of that equation. *)
+  (** [Key.permute image]: the whole image of a key under an
+      automorphism.  A reference path for tests; the engine calls
+      {!Key.orbit_min} with [image] and permutations compiled once per
+      run. *)
 
   val por : Prog.t -> state oracle option
   (** The machine's partial-order reduction oracle for [prog], or [None]
       to disable reduction for this machine (always sound). *)
 end
-
-(* The default key hash.  [Hashtbl.hash] caps at 10 meaningful nodes, which
-   collides badly on machine states that differ only deep inside a buffer;
-   widen the traversal so the whole canonical form participates. *)
-let structural_hash k = Hashtbl.hash_param 128 256 k

@@ -43,6 +43,7 @@ module Make (C : CONFIG) = struct
     memory : int Smap.t;
     procs : proc array;
     resvs : (string * resv list) list;  (** sorted by location *)
+    lay : Layout.t;
   }
 
   let name = C.machine_name
@@ -54,6 +55,7 @@ module Make (C : CONFIG) = struct
         Array.init (Prog.num_threads prog) (fun _ ->
             { next = 0; regs = Smap.empty; pending = []; nseq = 0 });
       resvs = [];
+      lay = Layout.cached prog;
     }
 
   let read_mem memory loc =
@@ -244,47 +246,104 @@ module Make (C : CONFIG) = struct
         (Final.make ~memory:st.memory
            ~regs:(Array.map (fun pr -> pr.regs) st.procs))
 
-  type key =
-    (string * int) list
-    * (int * (string * int) list * (string * int * int) list * int) array
-    * (string * (int * int) list) list
+  type key = Key.t
 
+  (* Memory; per processor [next], [nseq], its registers and its pending
+     writes as (location, value, sequence) entries; then the reservations:
+     their location count and, per location in id order, its id, its
+     owner count and the (processor, watermark) owners in processor
+     order. *)
   let canon st : key =
-    ( Smap.bindings st.memory,
-      Array.map
-        (fun pr ->
-          ( pr.next,
-            Smap.bindings pr.regs,
-            List.map (fun w -> (w.wloc, w.wval, w.seq)) pr.pending,
-            pr.nseq ))
-        st.procs,
-      List.map
-        (fun (l, rs) -> (l, List.map (fun r -> (r.rproc, r.watermark)) rs))
-        st.resvs )
+    let entries =
+      Array.fold_left (fun n pr -> n + List.length pr.pending) 0 st.procs
+    in
+    let tail =
+      List.fold_left (fun n (_, rs) -> n + 2 + (2 * List.length rs)) 1 st.resvs
+    in
+    let e = Layout.encoder st.lay ~fixed:2 ~width:3 ~entries ~tail st.memory in
+    Array.iteri
+      (fun p pr ->
+        Layout.int e pr.next;
+        Layout.int e pr.nseq;
+        Layout.regs e p pr.regs;
+        Layout.int e (List.length pr.pending);
+        List.iter
+          (fun w ->
+            Layout.loc e w.wloc;
+            Layout.int e w.wval;
+            Layout.int e w.seq)
+          pr.pending)
+      st.procs;
+    Layout.int e (List.length st.resvs);
+    List.iter
+      (fun (l, rs) ->
+        Layout.loc e l;
+        Layout.int e (List.length rs);
+        List.iter
+          (fun r ->
+            Layout.int e r.rproc;
+            Layout.int e r.watermark)
+          rs)
+      st.resvs;
+    Layout.finish e
 
-  let hash = Machine_sig.structural_hash
-  let equal (a : key) (b : key) = a = b
+  let hash = Key.hash
+  let equal = Key.equal
 
   (* Sequence numbers are per-processor counters, so they move with the
-     processor unchanged.  Reservations are kept sorted (outer list by
-     location, each owner list by processor), so renaming must re-sort
-     both levels to land back in canonical form. *)
-  let permute pi ((mem, procs, resvs) : key) : key =
-    ( Sym.rename_bindings pi mem,
-      Sym.permute_procs pi
-        (fun p (next, regs, pend, nseq) ->
-          ( next,
-            Sym.rename_reg_bindings pi ~proc:p regs,
-            List.map (fun (l, v, s) -> (Sym.rename_loc pi l, v, s)) pend,
-            nseq ))
-        procs,
-      List.map
-        (fun (l, rs) ->
-          ( Sym.rename_loc pi l,
-            List.sort compare
-              (List.map (fun (rp, w) -> (Sym.proc pi rp, w)) rs) ))
-        resvs
-      |> List.sort compare )
+     processor unchanged.  Reservations are sorted by location, then by
+     processor; renaming both breaks that order, so the image re-sorts
+     its (location, processor, watermark) triples — an insertion sort in
+     scratch space, the lists being a handful long. *)
+  let image pi k o =
+    let at = Key.put_procs o k pi ~fixed:2 ~width:3 in
+    let nlocs = k.(at) in
+    Key.put o nlocs;
+    let n = ref 0 and a = ref (at + 1) in
+    for _ = 1 to nlocs do
+      n := !n + k.(!a + 1);
+      a := !a + 2 + (2 * k.(!a + 1))
+    done;
+    let t = Key.scratch o (3 * !n) in
+    let i = ref 0 and a = ref (at + 1) in
+    for _ = 1 to nlocs do
+      let l = pi.Key.dst_loc.(k.(!a)) in
+      for r = 0 to k.(!a + 1) - 1 do
+        let b = !a + 2 + (2 * r) in
+        let l' = l and p' = pi.Key.dst_proc.(k.(b)) and w = k.(b + 1) in
+        (* insert (l', p', w) into the sorted prefix t.(0 .. 3i-1) *)
+        let j = ref !i in
+        while
+          !j > 0
+          && (t.((3 * !j) - 3) > l' || (t.((3 * !j) - 3) = l' && t.((3 * !j) - 2) > p'))
+        do
+          t.(3 * !j) <- t.((3 * !j) - 3);
+          t.((3 * !j) + 1) <- t.((3 * !j) - 2);
+          t.((3 * !j) + 2) <- t.((3 * !j) - 1);
+          decr j
+        done;
+        t.(3 * !j) <- l';
+        t.((3 * !j) + 1) <- p';
+        t.((3 * !j) + 2) <- w;
+        incr i
+      done;
+      a := !a + 2 + (2 * k.(!a + 1))
+    done;
+    let i = ref 0 in
+    while !i < !n do
+      let l = t.(3 * !i) in
+      let j = ref !i in
+      while !j < !n && t.(3 * !j) = l do incr j done;
+      Key.put o l;
+      Key.put o (!j - !i);
+      for r = !i to !j - 1 do
+        Key.put o t.((3 * r) + 1);
+        Key.put o t.((3 * r) + 2)
+      done;
+      i := !j
+    done
+
+  let permute = Key.permute image
 
   (* --- partial-order reduction oracle -----------------------------------
 

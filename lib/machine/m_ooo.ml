@@ -15,7 +15,7 @@ module Smap = Exp.Smap
 
 type proc = { executed : int; regs : int Smap.t }  (** [executed] is a bitmask *)
 
-type state = { memory : int Smap.t; procs : proc array }
+type state = { memory : int Smap.t; procs : proc array; lay : Layout.t }
 
 let name = "ooo"
 
@@ -75,6 +75,7 @@ let initial prog =
     procs =
       Array.init (Prog.num_threads prog) (fun _ ->
           { executed = 0; regs = Smap.empty });
+    lay = Layout.cached prog;
   }
 
 let read_mem memory loc =
@@ -145,24 +146,26 @@ let final prog st =
       (Final.make ~memory:st.memory
          ~regs:(Array.map (fun pr -> pr.regs) st.procs))
 
-type key = (string * int) list * (int * (string * int) list) array
+type key = Key.t
 
+(* Memory, then per processor its executed mask and its registers. *)
 let canon st : key =
-  ( Smap.bindings st.memory,
-    Array.map (fun pr -> (pr.executed, Smap.bindings pr.regs)) st.procs )
+  let e = Layout.encoder st.lay ~fixed:1 ~width:0 ~entries:0 st.memory in
+  Array.iteri
+    (fun p pr ->
+      Layout.int e pr.executed;
+      Layout.regs e p pr.regs)
+    st.procs;
+  Layout.finish e
 
-let hash = Machine_sig.structural_hash
-let equal (a : key) (b : key) = a = b
+let hash = Key.hash
+let equal = Key.equal
 
 (* The executed bitmask indexes instructions; automorphisms map thread [p]'s
    instruction [i] to the image thread's instruction [i], so the mask moves
    with the processor unchanged. *)
-let permute pi ((mem, procs) : key) : key =
-  ( Sym.rename_bindings pi mem,
-    Sym.permute_procs pi
-      (fun p (executed, regs) ->
-        (executed, Sym.rename_reg_bindings pi ~proc:p regs))
-      procs )
+let image pi k o = ignore (Key.put_procs o k pi ~fixed:1 ~width:0 : int)
+let permute = Key.permute image
 
 (* --- partial-order reduction oracle -------------------------------------
 

@@ -26,7 +26,7 @@ type proc = {
   pending : pending list;  (** issue order, oldest first *)
 }
 
-type state = { memory : int Smap.t; procs : proc array }
+type state = { memory : int Smap.t; procs : proc array; lay : Layout.t }
 
 let name = "rp3"
 
@@ -36,6 +36,7 @@ let initial prog =
     procs =
       Array.init (Prog.num_threads prog) (fun _ ->
           { next = 0; regs = Smap.empty; pending = [] });
+    lay = Layout.cached prog;
   }
 
 let read_mem memory loc =
@@ -137,29 +138,30 @@ let final prog st =
       (Final.make ~memory:st.memory
          ~regs:(Array.map (fun pr -> pr.regs) st.procs))
 
-type key =
-  (string * int) list * (int * (string * int) list * (string * int) list) array
+type key = Key.t
 
+(* Memory, then per processor [next], its registers and its pending
+   writes as (location, value) entries, oldest first. *)
 let canon st : key =
-  ( Smap.bindings st.memory,
-    Array.map
-      (fun pr ->
-        ( pr.next,
-          Smap.bindings pr.regs,
-          List.map (fun w -> (w.wloc, w.wval)) pr.pending ))
-      st.procs )
+  let entries = Array.fold_left (fun n pr -> n + List.length pr.pending) 0 st.procs in
+  let e = Layout.encoder st.lay ~fixed:1 ~width:2 ~entries st.memory in
+  Array.iteri
+    (fun p pr ->
+      Layout.int e pr.next;
+      Layout.regs e p pr.regs;
+      Layout.int e (List.length pr.pending);
+      List.iter
+        (fun w ->
+          Layout.loc e w.wloc;
+          Layout.int e w.wval)
+        pr.pending)
+    st.procs;
+  Layout.finish e
 
-let hash = Machine_sig.structural_hash
-let equal (a : key) (b : key) = a = b
-
-let permute pi ((mem, procs) : key) : key =
-  ( Sym.rename_bindings pi mem,
-    Sym.permute_procs pi
-      (fun p (next, regs, pend) ->
-        ( next,
-          Sym.rename_reg_bindings pi ~proc:p regs,
-          List.map (fun (l, v) -> (Sym.rename_loc pi l, v)) pend ))
-      procs )
+let hash = Key.hash
+let equal = Key.equal
+let image pi k o = ignore (Key.put_procs o k pi ~fixed:1 ~width:2 : int)
+let permute = Key.permute image
 
 (* No reduction oracle: these machines interleave reservation bookkeeping
    (global-perform counters, reservation multisets) with every shared

@@ -22,15 +22,12 @@ let final prog st =
   if Sem.all_done prog st then Some (Sem.final_of_state st) else None
 
 let canon = Sem.key_of_state
-let hash = Sem.key_hash
-let equal = Sem.key_equal
+let hash = Key.hash
+let equal = Key.equal
 
-let permute pi ((next, mem, regs) : key) : key =
-  ( Sym.permute_procs pi (fun _ n -> n) next,
-    Sym.rename_bindings pi mem,
-    Sym.permute_procs pi
-      (fun p rb -> Sym.rename_reg_bindings pi ~proc:p rb)
-      regs )
+(* Memory, then per thread [next] and its registers. *)
+let image pi k o = ignore (Key.put_procs o k pi ~fixed:1 ~width:0 : int)
+let permute = Key.permute image
 
 (* --- partial-order reduction ------------------------------------------------
 

@@ -18,7 +18,7 @@ type proc = {
   wbuf : (string * int) list;  (** oldest first *)
 }
 
-type state = { memory : int Smap.t; procs : proc array }
+type state = { memory : int Smap.t; procs : proc array; lay : Layout.t }
 
 let name = "wbuf"
 
@@ -28,6 +28,7 @@ let initial prog =
     procs =
       Array.init (Prog.num_threads prog) (fun _ ->
           { next = 0; regs = Smap.empty; wbuf = [] });
+    lay = Layout.cached prog;
   }
 
 let read_mem memory loc =
@@ -239,21 +240,27 @@ let por prog =
   Some
     { Machine_sig.successors_labeled = successors_labeled prog; ample }
 
-type key =
-  (string * int) list * (int * (string * int) list * (string * int) list) array
+type key = Key.t
 
+(* Memory, then per processor [next], its registers and its buffer as
+   (location, value) entries, oldest first. *)
 let canon st : key =
-  ( Smap.bindings st.memory,
-    Array.map (fun pr -> (pr.next, Smap.bindings pr.regs, pr.wbuf)) st.procs )
+  let entries = Array.fold_left (fun n pr -> n + List.length pr.wbuf) 0 st.procs in
+  let e = Layout.encoder st.lay ~fixed:1 ~width:2 ~entries st.memory in
+  Array.iteri
+    (fun p pr ->
+      Layout.int e pr.next;
+      Layout.regs e p pr.regs;
+      Layout.int e (List.length pr.wbuf);
+      List.iter
+        (fun (l, v) ->
+          Layout.loc e l;
+          Layout.int e v)
+        pr.wbuf)
+    st.procs;
+  Layout.finish e
 
-let hash = Machine_sig.structural_hash
-let equal (a : key) (b : key) = a = b
-
-let permute pi ((mem, procs) : key) : key =
-  ( Sym.rename_bindings pi mem,
-    Sym.permute_procs pi
-      (fun p (next, regs, wbuf) ->
-        ( next,
-          Sym.rename_reg_bindings pi ~proc:p regs,
-          List.map (fun (l, v) -> (Sym.rename_loc pi l, v)) wbuf ))
-      procs )
+let hash = Key.hash
+let equal = Key.equal
+let image pi k o = ignore (Key.put_procs o k pi ~fixed:1 ~width:2 : int)
+let permute = Key.permute image

@@ -103,17 +103,52 @@ let save ?(force = false) s write =
 let ckpt_due k =
   if k.k_dirty && k.k_path <> None then k.k_last +. ckpt_period else infinity
 
+(* Remove a scratch directory and the captures in it.  Best-effort: what
+   a quarantined job's stderr said is already in its record. *)
+let remove_scratch dir =
+  match Sys.readdir dir with
+  | files ->
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        files;
+      (try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  | exception Sys_error _ -> ()
+
+(* A supervisor killed by SIGKILL never reaches [close_session], so its
+   [weakord-NAME-PID] directory stays behind.  Each new session sweeps
+   those whose PID no longer exists ([kill pid 0] fails with ESRCH); a
+   live PID, or one we may not signal, keeps its directory. *)
+let remove_stale_scratch tmp =
+  let stale f =
+    match String.split_on_char '-' f with
+    | [ "weakord"; name; pid ] when name <> "" -> (
+        match int_of_string_opt pid with
+        | Some p when p > 0 && string_of_int p = pid -> (
+            match Unix.kill p 0 with
+            | () -> false
+            | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+            | exception Unix.Unix_error _ -> false)
+        | _ -> false)
+    | _ -> false
+  in
+  match Sys.readdir tmp with
+  | names ->
+      Array.iter
+        (fun f ->
+          let dir = Filename.concat tmp f in
+          if stale f && Sys.is_directory dir then remove_scratch dir)
+        names
+  | exception Sys_error _ -> ()
+
 let open_session ~name ~stdout ~checkpoint out =
   let out =
     match out with
     | Some p -> Some (open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 p)
     | None -> if stdout then Some Stdlib.stdout else None
   in
-  let scratch =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "weakord-%s-%d" name (Unix.getpid ()))
-  in
+  let tmp = Filename.get_temp_dir_name () in
+  remove_stale_scratch tmp;
+  let scratch = Filename.concat tmp (Printf.sprintf "weakord-%s-%d" name (Unix.getpid ())) in
   (try Unix.mkdir scratch 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let drain = ref false in
   {
@@ -140,15 +175,7 @@ let close_session s =
   | Some ch when ch == Stdlib.stdout -> flush ch
   | Some ch -> close_out ch
   | None -> ());
-  (* Best-effort: what a quarantined job's stderr said is already in its
-     record. *)
-  match Sys.readdir s.scratch with
-  | files ->
-      Array.iter
-        (fun f -> try Sys.remove (scratch_file s f) with Sys_error _ -> ())
-        files;
-      (try Unix.rmdir s.scratch with Unix.Unix_error _ -> ())
-  | exception Sys_error _ -> ()
+  remove_scratch s.scratch
 
 let supervise s write ~finally body =
   match

@@ -68,7 +68,10 @@ val open_session :
     mode (an interrupted run's file plus its resume's file concatenate
     into the full result set), or streams to stdout when [out] is [None]
     and [stdout] holds.  It makes the scratch directory
-    [$TMPDIR/weakord-NAME-PID] and installs {!Runner.wake_on_drain}. *)
+    [$TMPDIR/weakord-NAME-PID], first removing every
+    [$TMPDIR/weakord-*-PID] directory whose PID no longer exists (a
+    supervisor killed by SIGKILL never removes its own), and installs
+    {!Runner.wake_on_drain}. *)
 
 val touch : session -> unit
 (** Mark the checkpoint out of date.  A loop that {!save}s every turn

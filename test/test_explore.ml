@@ -230,6 +230,33 @@ let test_big3_reduction_ratio () =
         (float_of_int red_states <= 0.7 *. float_of_int un_states))
     [ Machines.wbuf; Machines.ooo; Machines.def2 ]
 
+(* --- allocation per state ------------------------------------------------- *)
+
+(* The sequential engine with symmetry and reduction on allocates about
+   580-740 minor words per expanded state on big3, most of it successor
+   generation; structural keys and an orbit probe that built every image
+   took 1,230-1,440, and a probe that allocates per image again would
+   push it past the guard.  The count is a deterministic function of the
+   code, so the guard cannot flake; a first sweep warms the per-program
+   caches (layout, group, static conflict facts) so only the sweep itself
+   is counted. *)
+let test_big3_minor_words () =
+  List.iter
+    (fun m ->
+      ignore (Machines.explore m big3 : Explore.run_result);
+      let w0 = Gc.minor_words () in
+      let r = Machines.explore ~domains:1 m big3 in
+      let words = Gc.minor_words () -. w0 in
+      let s = r.Explore.stats in
+      check (Printf.sprintf "big3/%s symmetry and reduction on" (Machines.name m)) true
+        (s.Explore.sym_group > 1 && s.Explore.por_enabled);
+      let per_state = words /. float_of_int s.Explore.states_expanded in
+      check
+        (Printf.sprintf "big3/%s: %.0f minor words per state <= 1100" (Machines.name m)
+           per_state)
+        true (per_state <= 1100.))
+    [ Machines.def2; Machines.wbuf; Machines.ooo ]
+
 (* --- the knobs compose ------------------------------------------------------ *)
 
 let test_verify_jobs_agree () =
@@ -267,4 +294,6 @@ let suite =
         test_big3_reduction_ratio;
       Alcotest.test_case "verify independent of --jobs" `Quick
         test_verify_jobs_agree;
+      Alcotest.test_case "big3 minor words per state" `Quick
+        test_big3_minor_words;
     ] )

@@ -282,6 +282,28 @@ let test_explore_resume_rejects_mismatch () =
   | exception Explore.Resume_rejected _ -> ()
   | _ -> Alcotest.fail "corrupted snapshot accepted"
 
+(* A frame of the previous engine kind ("explore4", structural keys) is
+   refused on its kind, before its payload is read: the payload here is
+   not a marshalled value at all, so unmarshalling it would have been
+   refused as "does not unmarshal" instead. *)
+let test_old_snapshot_kind_rejected () =
+  let m = Machines.def2 in
+  let kind = "weakord.explore4/def2" in
+  let old = Snapshot.frame ~kind ~meta:"old" ~payload:"not a marshalled value" in
+  let names_kind msg =
+    let n = String.length kind in
+    let rec at i = i + n <= String.length msg && (String.sub msg i n = kind || at (i + 1)) in
+    at 0
+  in
+  (match explore_with ~resume:old m (prog_of "dekker") with
+  | exception Explore.Resume_rejected msg ->
+      check "resume names the old kind" true (names_kind msg)
+  | _ -> Alcotest.fail "explore4 snapshot accepted");
+  match Machines.snapshot_frontier_length m old with
+  | exception Explore.Resume_rejected msg ->
+      check "frontier length names the old kind" true (names_kind msg)
+  | _ -> Alcotest.fail "explore4 snapshot read"
+
 (* --- spill store: a memory budget spills ------------------------------------- *)
 
 let tmp_dir () = Filename.temp_dir "weakord_spill" ""
@@ -301,8 +323,10 @@ let with_fresh_temp_dir label f =
   r
 
 (* A memory budget small enough that every corpus program crosses it
-   almost immediately, exercising the spill on real state graphs. *)
-let tiny_mem = Budget.create ~mem_bytes:512 ()
+   almost immediately, exercising the spill on real state graphs.  A
+   packed key costs about 70 bytes a visited entry, so the six-state
+   [coww] sweep on wbuf needs a budget under 432 bytes to cross it. *)
+let tiny_mem = Budget.create ~mem_bytes:256 ()
 
 let test_tiny_budget_spills_exactly () =
   with_fresh_temp_dir "tiny budget" @@ fun () ->
@@ -782,6 +806,8 @@ let suite =
         test_explore_deadline_stop;
       Alcotest.test_case "explore resume rejects mismatch" `Quick
         test_explore_resume_rejects_mismatch;
+      Alcotest.test_case "explore4 snapshot rejected by kind" `Quick
+        test_old_snapshot_kind_rejected;
       Alcotest.test_case "tiny budget spills exactly" `Quick
         test_tiny_budget_spills_exactly;
       Alcotest.test_case "spill store unit" `Quick test_spill_store_unit;

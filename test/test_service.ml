@@ -855,16 +855,12 @@ let test_batch_checkpoint_keeps_up () =
   in
   let kill_all () =
     (try Unix.kill (-pid) Sys.sigkill with Unix.Unix_error _ -> ());
-    ignore (Unix.waitpid [] pid : int * Unix.process_status);
-    (* A killed supervisor leaves its scratch directory behind. *)
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "weakord-batch-%d" pid)
-    in
-    try
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir
-    with Sys_error _ -> ()
+    ignore (Unix.waitpid [] pid : int * Unix.process_status)
+  in
+  (* A killed supervisor leaves its scratch directory behind; the next
+     session removes it. *)
+  let scratch =
+    Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "weakord-batch-%d" pid)
   in
   (match
      wait_for ~what:"the quick records" (fun () -> List.length (lines out) >= 6);
@@ -876,7 +872,9 @@ let test_batch_checkpoint_keeps_up () =
       raise e);
   check "the wedge still runs" true (alive pid);
   kill_all ();
+  check "the killed supervisor left its scratch directory" true (Sys.file_exists scratch);
   let s = Batch.run { cfg with resume = Some ck; timeout_s = 0.2 } jobs in
+  check "the next run removed it" false (Sys.file_exists scratch);
   let ids = job_ids (lines out) in
   List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ out; ck; ck ^ ".prev" ];
   check_int "the resume finishes the wedge alone" 1 s.Batch.quarantined_total;

@@ -114,6 +114,132 @@ let test_group_orders () =
   Alcotest.(check int) "big3 group order" 3 (order "big3");
   Alcotest.(check int) "big4 group order" 4 (order "big4")
 
+(* --- packed keys against the reference keys ---------------------------- *)
+
+(* Two states share a packed orbit-minimum key iff they share a reference
+   (structural) one, and likewise for the plain keys: the packing is an
+   injective image of the reference key, and [Key.orbit_min] with the
+   compiled permutations picks one representative per orbit.  States are
+   collected by raw BFS deduplicated on the reference key, so a packing
+   collision cannot hide a state; a sweep stops at [cap] states and the
+   check then runs on the visited prefix. *)
+module Packed_vs_ref
+    (M : Machine_sig.MACHINE)
+    (R : Ref_keys.REF with type state = M.state) =
+struct
+  let hash_ref k = Hashtbl.hash_param 128 256 k
+
+  module Rtbl = Hashtbl.Make (struct
+    type t = R.key
+
+    let equal = ( = )
+    let hash = hash_ref
+  end)
+
+  module Ptbl = Hashtbl.Make (struct
+    type t = Key.t
+
+    let equal = Key.equal
+    let hash = Key.hash
+  end)
+
+  let cap = 20_000
+
+  let check label prog =
+    let g = Sym.of_prog prog in
+    let cperms = List.map Key.compile g.Sym.perms in
+    let o = Key.out () in
+    let seen = Rtbl.create 1024 in
+    let q = Queue.create () in
+    let add st =
+      let k = R.canon st in
+      if (not (Rtbl.mem seen k)) && Rtbl.length seen < cap then begin
+        Rtbl.add seen k ();
+        Queue.push st q
+      end
+    in
+    add (M.initial prog);
+    let p2r = Ptbl.create 1024 and r2p = Rtbl.create 1024 in
+    let o2r = Ptbl.create 1024 and r2o = Rtbl.create 1024 in
+    let agree what tbl k v eq =
+      match Ptbl.find_opt tbl k with
+      | Some v' when not (eq v v') ->
+          Alcotest.failf "%s/%s: %s splits a reference class" label M.name what
+      | Some _ -> ()
+      | None -> Ptbl.add tbl k v
+    in
+    let agree_r what tbl k v =
+      match Rtbl.find_opt tbl k with
+      | Some v' when not (Key.equal v v') ->
+          Alcotest.failf "%s/%s: %s merges reference classes" label M.name what
+      | Some _ -> ()
+      | None -> Rtbl.add tbl k v
+    in
+    while not (Queue.is_empty q) do
+      let st = Queue.pop q in
+      let pk = M.canon st and rk = R.canon st in
+      agree "packed key" p2r pk rk ( = );
+      agree_r "packed key" r2p rk pk;
+      let po = Key.orbit_min M.image o cperms pk in
+      let ro = Ref_keys.orbit_min R.permute g.Sym.perms rk in
+      agree "packed orbit minimum" o2r po ro ( = );
+      agree_r "packed orbit minimum" r2o ro po;
+      List.iter add (M.successors prog st)
+    done
+end
+
+module Pr_sc = Packed_vs_ref (M_sc) (Ref_keys.Sem_ref)
+module Pr_wbuf = Packed_vs_ref (M_wbuf) (Ref_keys.Wbuf_ref)
+module Pr_ooo = Packed_vs_ref (M_ooo) (Ref_keys.Ooo_ref)
+module Pr_def1 = Packed_vs_ref (M_def1) (Ref_keys.Def1_ref)
+module Pr_def2 = Packed_vs_ref (M_def2.Base) (Ref_keys.Def2_base_ref)
+module Pr_def2_rs = Packed_vs_ref (M_def2.Read_sync_relaxed) (Ref_keys.Def2_rs_ref)
+module Pr_rp3 = Packed_vs_ref (M_rp3) (Ref_keys.Rp3_ref)
+module Pr_rc = Packed_vs_ref (M_rc) (Ref_keys.Rc_ref)
+
+let check_packed label prog =
+  Pr_sc.check label prog;
+  Pr_wbuf.check label prog;
+  Pr_ooo.check label prog;
+  Pr_def1.check label prog;
+  Pr_def2.check label prog;
+  Pr_def2_rs.check label prog;
+  Pr_rp3.check label prog;
+  Pr_rc.check label prog
+
+(* Symmetric, and def2 reaches states holding reservations on two
+   locations at once (each thread's sync store commits over its pending
+   data write), which the processor swap must re-sort. *)
+let two_reservations =
+  "name two_resv\n\
+   P0          | P1          ;\n\
+   W x 1       | W y 1       ;\n\
+   Ws a 1      | Ws b 1      ;\n\
+   r0 := R b   | r1 := R a   ;\n\
+   W x 2       | W y 2       ;\n"
+
+let test_packed_vs_reference () =
+  (* Reachable states never differ in a binding's presence alone, so the
+     sweeps below cannot see the presence mask: check it directly. *)
+  let st = Sem.initial (prog_of "dekker") in
+  let bound = { st with Sem.memory = Exp.Smap.add "x" 0 st.Sem.memory } in
+  Alcotest.(check bool) "an absent binding differs from a binding to 0" false
+    (Key.equal (Sem.key_of_state st) (Sem.key_of_state bound));
+  check_packed "big3" (prog_of "big3");
+  check_packed "two_resv" (Litmus_parse.parse_string two_reservations);
+  List.iter
+    (fun e -> check_packed (Prog.name e.Litmus_classics.prog) e.Litmus_classics.prog)
+    Litmus_classics.all;
+  List.iter
+    (fun profile ->
+      let config = { Litmus_gen.default_config with Litmus_gen.profile } in
+      for seed = 0 to 199 do
+        check_packed
+          (Printf.sprintf "%s/%d" (Litmus_gen.profile_name profile) seed)
+          (Litmus_gen.generate ~config seed)
+      done)
+    Litmus_gen.all_profiles
+
 (* --- sym / no-sym differential --------------------------------------- *)
 
 let machines () =
@@ -283,6 +409,8 @@ let suite =
       Alcotest.test_case "group orders" `Quick test_group_orders;
       Alcotest.test_case "orbit canonicalization properties" `Slow
         test_orbit_properties;
+      Alcotest.test_case "packed keys agree with the reference keys" `Slow
+        test_packed_vs_reference;
       Alcotest.test_case "differential on classics" `Quick
         test_differential_classics;
       Alcotest.test_case "differential on generated programs" `Slow
