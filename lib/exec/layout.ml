@@ -64,16 +64,8 @@ let put_map (k : int array) ~at names m =
       k.(vals + s) <- v)
     m
 
+type shape = { fixed : int; width : int }
 type enc = { ek : int array; mutable at : int; lay : t }
-
-let encoder lay ~fixed ~width ~entries ?(tail = 0) memory =
-  let size = ref (map_size (nlocs lay) + (width * entries) + tail) in
-  for p = 0 to nprocs lay - 1 do
-    size := !size + fixed + map_size (nregs lay p) + Bool.to_int (width > 0)
-  done;
-  let ek = Array.make !size 0 in
-  put_map ek ~at:0 lay.locs memory;
-  { ek; at = map_size (nlocs lay); lay }
 
 let int e v =
   e.ek.(e.at) <- v;
@@ -81,9 +73,41 @@ let int e v =
 
 let loc e l = int e (loc_id e.lay l)
 
-let regs e p m =
-  put_map e.ek ~at:e.at e.lay.regs.(p) m;
-  e.at <- e.at + map_size (nregs e.lay p)
+(* A writer callback must write exactly its share of the record. *)
+let wrote e ~from what n =
+  if e.at <> from + n then invalid_arg (Printf.sprintf "Layout.encode: %s not %d ints" what n)
+
+let rec put_entries e width entry = function
+  | [] -> ()
+  | x :: rest ->
+      let from = e.at in
+      entry e x;
+      wrote e ~from "an entry" width;
+      put_entries e width entry rest
+
+let encode lay { fixed = nfixed; width } ?(tail = 0) ?(entries = fun _ -> [])
+    ?(entry = fun _ _ -> ()) memory procs ~fixed ~regs =
+  let size = ref (map_size (nlocs lay) + tail) in
+  for p = 0 to nprocs lay - 1 do
+    size := !size + nfixed + map_size (nregs lay p);
+    if width > 0 then size := !size + 1 + (width * List.length (entries procs.(p)))
+  done;
+  let e = { ek = Array.make !size 0; at = map_size (nlocs lay); lay } in
+  put_map e.ek ~at:0 lay.locs memory;
+  for p = 0 to nprocs lay - 1 do
+    let pr = procs.(p) in
+    let from = e.at in
+    fixed e pr;
+    wrote e ~from "the fixed part" nfixed;
+    put_map e.ek ~at:e.at lay.regs.(p) (regs pr);
+    e.at <- e.at + map_size (nregs lay p);
+    if width > 0 then begin
+      let es = entries pr in
+      int e (List.length es);
+      put_entries e width entry es
+    end
+  done;
+  e
 
 let finish e =
   if e.at <> Array.length e.ek then invalid_arg "Layout.finish: key not filled";

@@ -41,28 +41,46 @@ val map_size : int -> int
 (** {2 Writing a packed key}
 
     Keys are laid out as the memory segment, then one record per
-    processor — [fixed] plain ints, the register segment, and when
-    [width > 0] a list length followed by [width]-int entries whose first
-    int is a location id — then a machine-specific tail (see [Key]). *)
+    processor in the machine's {!shape}, then a machine-specific tail
+    (see [Key]).  {!encode} is the one writer of that layout; [Key]'s
+    image writer reads it back from the same [shape]. *)
+
+type shape = {
+  fixed : int;  (** plain ints at the head of each processor record *)
+  width : int;
+      (** when positive, the record ends in a list: its length, then
+          [width]-int entries whose first int is a location id *)
+}
+(** The format of a machine's processor records.  The register segment
+    follows the [fixed] ints. *)
 
 type enc
 (** A key under construction, filled front to back. *)
-
-val encoder :
-  t -> fixed:int -> width:int -> entries:int -> ?tail:int -> int Exp.Smap.t -> enc
-(** [encoder lay ~fixed ~width ~entries ~tail memory] allocates the key
-    of a state whose lists hold [entries] entries in all, followed by
-    [tail] (default 0) ints, and writes the memory segment.  Every memory
-    location must be a program location.
-    @raise Invalid_argument otherwise. *)
 
 val int : enc -> int -> unit
 val loc : enc -> string -> unit
 (** The next int, a location's id. *)
 
-val regs : enc -> int -> int Exp.Smap.t -> unit
-(** [regs e p m]: processor [p]'s register segment.
-    @raise Invalid_argument on a register [p] never writes. *)
+val encode :
+  t ->
+  shape ->
+  ?tail:int ->
+  ?entries:('p -> 'e list) ->
+  ?entry:(enc -> 'e -> unit) ->
+  int Exp.Smap.t ->
+  'p array ->
+  fixed:(enc -> 'p -> unit) ->
+  regs:('p -> int Exp.Smap.t) ->
+  enc
+(** [encode lay shape memory procs ~fixed ~regs ~entries ~entry] writes
+    the memory segment and one record per processor of [procs]: [fixed]
+    writes its plain ints, then its [regs] segment, then (when
+    [shape.width > 0]) the length of its [entries] list and [entry] for
+    each, oldest first.  It returns the key with room left for [tail]
+    (default 0) more ints, which the caller writes before {!finish}.
+    @raise Invalid_argument if [fixed] or [entry] writes other than
+    [shape.fixed] or [shape.width] ints, or on a memory location or
+    register that is not in the layout. *)
 
 val finish : enc -> int array
 (** The key, checked full. *)

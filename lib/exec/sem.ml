@@ -86,11 +86,10 @@ let final_of_state state =
    every machine key shares. *)
 type key = int array
 
+let key_shape = { Layout.fixed = 1; width = 0 }
+
 let key_of_state state : key =
-  let e = Layout.encoder state.lay ~fixed:1 ~width:0 ~entries:0 state.memory in
-  Array.iteri
-    (fun p ts ->
-      Layout.int e ts.next;
-      Layout.regs e p ts.regs)
-    state.threads;
-  Layout.finish e
+  Layout.finish
+    (Layout.encode state.lay key_shape state.memory state.threads
+       ~fixed:(fun e ts -> Layout.int e ts.next)
+       ~regs:(fun ts -> ts.regs))

@@ -26,8 +26,12 @@ val final_of_state : state -> Final.t
 
 type key = int array
 
+val key_shape : Layout.shape
+(** One plain int per thread record, no list. *)
+
 val key_of_state : state -> key
-(** Packed key for memoizing state exploration: the memory as a
-    {!Layout} binding segment, then per thread its [next] and its
-    register segment.  Injective on states of one program; hash and
-    compare it with [Key]. *)
+(** Packed key for memoizing state exploration, written by
+    {!Layout.encode} in {!key_shape}: the memory as a {!Layout} binding
+    segment, then per thread its [next] and its register segment.
+    Injective on states of one program; hash and compare it with
+    [Key]. *)

@@ -180,10 +180,10 @@ module Make (M : Machine_sig.MACHINE) = struct
     type t = hkey
 
     let hash k = k.kh
-    let equal a b = a.kh = b.kh && Key.equal a.kk b.kk
+    let equal a b = a.kh = b.kh && M.equal a.kk b.kk
   end)
 
-  let hkey k = { kh = Key.hash k; kk = k }
+  let hkey k = { kh = M.hash k; kk = k }
 
   (* The least key of the state's orbit under the program's automorphism
      group ([perms] compiled once per run), so the transposition-table

@@ -102,7 +102,7 @@ let put_map o (k : t) ~at ~(src : int array) =
     put o k.(vals + src.(j))
   done
 
-let put_procs o (k : t) pi ~fixed ~width =
+let put_procs o (k : t) pi { Layout.fixed; width } =
   put_map o k ~at:0 ~src:pi.src_loc;
   let n = Array.length pi.src_proc in
   o.offs <- grow o.offs n;
@@ -136,6 +136,8 @@ let put_procs o (k : t) pi ~fixed ~width =
   !at
 
 type image = perm -> t -> out -> unit
+
+let image shape pi k o = ignore (put_procs o k pi shape : int)
 
 let permute (image : image) pi k =
   let o = out () in

@@ -10,7 +10,7 @@
     differs from a binding to 0, so the packing is injective on a
     program's states.
 
-    {!Layout.encoder} writes keys.  This module owns what the exploration
+    {!Layout.encode} writes keys.  This module owns what the exploration
     engine does with them: a hash over every int, a monomorphic equality,
     automorphisms compiled to int index maps once per run, and the orbit
     minimum, computed in one reused scratch buffer with an early exit. *)
@@ -52,11 +52,10 @@ exception Larger
 val put : out -> int -> unit
 (** Write the image's next int. *)
 
-val put_procs : out -> t -> perm -> fixed:int -> width:int -> int
-(** Write the image of the memory segment and the processor records of
-    the layout above ([fixed] plain ints per record, lists of
-    [width]-int entries when [width > 0]); returns the offset in the
-    source key just past the records. *)
+val put_procs : out -> t -> perm -> Layout.shape -> int
+(** Write the image of the memory segment and the processor records
+    that {!Layout.encode} wrote in the given shape; returns the offset
+    in the source key just past the records. *)
 
 val scratch : out -> int -> int array
 (** An int array of at least the given length, reused across calls. *)
@@ -64,6 +63,10 @@ val scratch : out -> int -> int array
 type image = perm -> t -> out -> unit
 (** A machine's image writer: {!put}s the key of the permuted state, in
     order. *)
+
+val image : Layout.shape -> image
+(** The image writer of a key that is nothing but its processor records
+    in the given shape. *)
 
 val permute : image -> Sym.perm -> t -> t
 (** The whole image.  Compiles the permutation on every call: a

@@ -79,14 +79,16 @@ module type MACHINE = sig
       buffered effects drained). *)
 
   val canon : state -> key
-  (** The state's key, written with {!Layout.encoder}: one [int array],
-      no marshalling. *)
+  (** The state's key, written with {!Layout.encode} in the machine's
+      record shape: one [int array], no marshalling. *)
 
   val hash : key -> int
-  (** {!Key.hash}: every int of the key takes part. *)
+  (** The hash of [Explore]'s state table; every machine uses
+      {!Key.hash}, which mixes every int of the key. *)
 
   val equal : key -> key -> bool
-  (** {!Key.equal}. *)
+  (** The equality of [Explore]'s state table; every machine uses
+      {!Key.equal}. *)
 
   val image : Key.image
   (** Writes the key of the permuted state, int by int in order, with

@@ -162,25 +162,21 @@ type key = Key.t
 
 (* Memory, then per processor [next], its registers and its pending
    writes as (location, value) entries, oldest first. *)
+let shape = { Layout.fixed = 1; width = 2 }
+
 let canon st : key =
-  let entries = Array.fold_left (fun n pr -> n + List.length pr.pending) 0 st.procs in
-  let e = Layout.encoder st.lay ~fixed:1 ~width:2 ~entries st.memory in
-  Array.iteri
-    (fun p pr ->
-      Layout.int e pr.next;
-      Layout.regs e p pr.regs;
-      Layout.int e (List.length pr.pending);
-      List.iter
-        (fun w ->
-          Layout.loc e w.wloc;
-          Layout.int e w.wval)
-        pr.pending)
-    st.procs;
-  Layout.finish e
+  Layout.finish
+    (Layout.encode st.lay shape st.memory st.procs
+       ~fixed:(fun e pr -> Layout.int e pr.next)
+       ~regs:(fun pr -> pr.regs)
+       ~entries:(fun pr -> pr.pending)
+       ~entry:(fun e w ->
+         Layout.loc e w.wloc;
+         Layout.int e w.wval))
 
 let hash = Key.hash
 let equal = Key.equal
-let image pi k o = ignore (Key.put_procs o k pi ~fixed:1 ~width:2 : int)
+let image = Key.image shape
 let permute = Key.permute image
 
 (* No reduction oracle: these machines interleave reservation bookkeeping

@@ -253,27 +253,24 @@ module Make (C : CONFIG) = struct
      their location count and, per location in id order, its id, its
      owner count and the (processor, watermark) owners in processor
      order. *)
+  let shape = { Layout.fixed = 2; width = 3 }
+
   let canon st : key =
-    let entries =
-      Array.fold_left (fun n pr -> n + List.length pr.pending) 0 st.procs
-    in
     let tail =
       List.fold_left (fun n (_, rs) -> n + 2 + (2 * List.length rs)) 1 st.resvs
     in
-    let e = Layout.encoder st.lay ~fixed:2 ~width:3 ~entries ~tail st.memory in
-    Array.iteri
-      (fun p pr ->
-        Layout.int e pr.next;
-        Layout.int e pr.nseq;
-        Layout.regs e p pr.regs;
-        Layout.int e (List.length pr.pending);
-        List.iter
-          (fun w ->
-            Layout.loc e w.wloc;
-            Layout.int e w.wval;
-            Layout.int e w.seq)
-          pr.pending)
-      st.procs;
+    let e =
+      Layout.encode st.lay shape ~tail st.memory st.procs
+        ~fixed:(fun e pr ->
+          Layout.int e pr.next;
+          Layout.int e pr.nseq)
+        ~regs:(fun pr -> pr.regs)
+        ~entries:(fun pr -> pr.pending)
+        ~entry:(fun e w ->
+          Layout.loc e w.wloc;
+          Layout.int e w.wval;
+          Layout.int e w.seq)
+    in
     Layout.int e (List.length st.resvs);
     List.iter
       (fun (l, rs) ->
@@ -296,7 +293,7 @@ module Make (C : CONFIG) = struct
      its (location, processor, watermark) triples — an insertion sort in
      scratch space, the lists being a handful long. *)
   let image pi k o =
-    let at = Key.put_procs o k pi ~fixed:2 ~width:3 in
+    let at = Key.put_procs o k pi shape in
     let nlocs = k.(at) in
     Key.put o nlocs;
     let n = ref 0 and a = ref (at + 1) in

@@ -149,14 +149,13 @@ let final prog st =
 type key = Key.t
 
 (* Memory, then per processor its executed mask and its registers. *)
+let shape = { Layout.fixed = 1; width = 0 }
+
 let canon st : key =
-  let e = Layout.encoder st.lay ~fixed:1 ~width:0 ~entries:0 st.memory in
-  Array.iteri
-    (fun p pr ->
-      Layout.int e pr.executed;
-      Layout.regs e p pr.regs)
-    st.procs;
-  Layout.finish e
+  Layout.finish
+    (Layout.encode st.lay shape st.memory st.procs
+       ~fixed:(fun e pr -> Layout.int e pr.executed)
+       ~regs:(fun pr -> pr.regs))
 
 let hash = Key.hash
 let equal = Key.equal
@@ -164,7 +163,7 @@ let equal = Key.equal
 (* The executed bitmask indexes instructions; automorphisms map thread [p]'s
    instruction [i] to the image thread's instruction [i], so the mask moves
    with the processor unchanged. *)
-let image pi k o = ignore (Key.put_procs o k pi ~fixed:1 ~width:0 : int)
+let image = Key.image shape
 let permute = Key.permute image
 
 (* --- partial-order reduction oracle -------------------------------------

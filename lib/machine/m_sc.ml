@@ -24,9 +24,7 @@ let final prog st =
 let canon = Sem.key_of_state
 let hash = Key.hash
 let equal = Key.equal
-
-(* Memory, then per thread [next] and its registers. *)
-let image pi k o = ignore (Key.put_procs o k pi ~fixed:1 ~width:0 : int)
+let image = Key.image Sem.key_shape
 let permute = Key.permute image
 
 (* --- partial-order reduction ------------------------------------------------

@@ -244,23 +244,19 @@ type key = Key.t
 
 (* Memory, then per processor [next], its registers and its buffer as
    (location, value) entries, oldest first. *)
+let shape = { Layout.fixed = 1; width = 2 }
+
 let canon st : key =
-  let entries = Array.fold_left (fun n pr -> n + List.length pr.wbuf) 0 st.procs in
-  let e = Layout.encoder st.lay ~fixed:1 ~width:2 ~entries st.memory in
-  Array.iteri
-    (fun p pr ->
-      Layout.int e pr.next;
-      Layout.regs e p pr.regs;
-      Layout.int e (List.length pr.wbuf);
-      List.iter
-        (fun (l, v) ->
-          Layout.loc e l;
-          Layout.int e v)
-        pr.wbuf)
-    st.procs;
-  Layout.finish e
+  Layout.finish
+    (Layout.encode st.lay shape st.memory st.procs
+       ~fixed:(fun e pr -> Layout.int e pr.next)
+       ~regs:(fun pr -> pr.regs)
+       ~entries:(fun pr -> pr.wbuf)
+       ~entry:(fun e (l, v) ->
+         Layout.loc e l;
+         Layout.int e v))
 
 let hash = Key.hash
 let equal = Key.equal
-let image pi k o = ignore (Key.put_procs o k pi ~fixed:1 ~width:2 : int)
+let image = Key.image shape
 let permute = Key.permute image

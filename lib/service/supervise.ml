@@ -75,11 +75,95 @@ type ckpt = {
   mutable k_dirty : bool;
 }
 
+(* --- scratch directories ------------------------------------------------------ *)
+
+(* A session's scratch directory is [$TMPDIR/weakord-NAME-PID].  The
+   session holds a [lockf] lock on the [session.lock] file in it for its
+   whole life.  The kernel drops that lock when the process dies, however
+   it dies, and the lock is seen from every PID namespace that shares the
+   directory; a directory whose lock can be taken belongs to no live
+   session. *)
+let lock_file = "session.lock"
+let session_names = [ "batch"; "fleet"; "daemon" ]
+
+(* [path] itself, not what a symlink there points to, is a [kind] of
+   ours. *)
+let owned kind path =
+  match Unix.lstat path with
+  | st -> st.Unix.st_kind = kind && st.Unix.st_uid = Unix.getuid ()
+  | exception Unix.Unix_error _ -> false
+
+(* Remove a scratch directory and the regular files in it, never what a
+   symlink in it points to.  Best-effort: what a quarantined job's stderr
+   said is already in its record. *)
+let remove_scratch dir =
+  match Sys.readdir dir with
+  | files ->
+      Array.iter
+        (fun f ->
+          let path = Filename.concat dir f in
+          if owned Unix.S_REG path then try Unix.unlink path with Unix.Unix_error _ -> ())
+        files;
+      (try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  | exception Sys_error _ -> ()
+
+(* A supervisor killed by SIGKILL never reaches [close_session], so its
+   directory stays behind.  Each new session removes those of dead
+   sessions: a directory of ours (not a symlink), named for a batch,
+   fleet or daemon session of another PID, whose lock file (a regular
+   file of ours) it can lock.  Its own PID is skipped: a process never
+   conflicts with its own locks, and closing a descriptor of a file it
+   holds locked would drop its lock. *)
+let remove_stale_scratch tmp =
+  let me = Unix.getpid () in
+  let stale f =
+    match String.split_on_char '-' f with
+    | [ "weakord"; name; pid ] when List.mem name session_names -> (
+        match int_of_string_opt pid with
+        | Some p -> p > 0 && p <> me && string_of_int p = pid
+        | None -> false)
+    | _ -> false
+  in
+  let remove_unlocked dir =
+    let lock = Filename.concat dir lock_file in
+    if owned Unix.S_DIR dir && owned Unix.S_REG lock then
+      match Unix.openfile lock [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 with
+      | fd ->
+          (match Unix.lockf fd Unix.F_TLOCK 0 with
+          | () -> remove_scratch dir
+          | exception Unix.Unix_error _ -> ());
+          Unix.close fd
+      | exception Unix.Unix_error _ -> ()
+  in
+  match Sys.readdir tmp with
+  | names -> Array.iter (fun f -> if stale f then remove_unlocked (Filename.concat tmp f)) names
+  | exception Sys_error _ -> ()
+
+(* Make [tmp/base] with its lock taken.  The directory is built under a
+   fresh staging name, which no sweep matches, and renamed into place
+   with the lock already held, so no sweep ever sees it unlocked.  When
+   [base] is taken (a directory left by a dead process of this PID, or
+   anything that is not an empty directory of ours), the session keeps
+   the staging name. *)
+let claim_scratch tmp base =
+  let staging = Filename.temp_dir ~temp_dir:tmp ~perms:0o755 (base ^ ".") ".new" in
+  let lock =
+    Unix.openfile (Filename.concat staging lock_file)
+      [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_EXCL; Unix.O_CLOEXEC ]
+      0o600
+  in
+  Unix.lockf lock Unix.F_TLOCK 0;
+  let dir = Filename.concat tmp base in
+  match Unix.rename staging dir with
+  | () -> (dir, lock)
+  | exception Unix.Unix_error _ -> (staging, lock)
+
 (* --- the session ------------------------------------------------------------- *)
 
 type session = {
   out : out_channel option;
   scratch : string;
+  lock : Unix.file_descr;
   drain : bool ref;
   wake : Runner.wake;
   ckpt : ckpt;
@@ -103,43 +187,6 @@ let save ?(force = false) s write =
 let ckpt_due k =
   if k.k_dirty && k.k_path <> None then k.k_last +. ckpt_period else infinity
 
-(* Remove a scratch directory and the captures in it.  Best-effort: what
-   a quarantined job's stderr said is already in its record. *)
-let remove_scratch dir =
-  match Sys.readdir dir with
-  | files ->
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        files;
-      (try Unix.rmdir dir with Unix.Unix_error _ -> ())
-  | exception Sys_error _ -> ()
-
-(* A supervisor killed by SIGKILL never reaches [close_session], so its
-   [weakord-NAME-PID] directory stays behind.  Each new session sweeps
-   those whose PID no longer exists ([kill pid 0] fails with ESRCH); a
-   live PID, or one we may not signal, keeps its directory. *)
-let remove_stale_scratch tmp =
-  let stale f =
-    match String.split_on_char '-' f with
-    | [ "weakord"; name; pid ] when name <> "" -> (
-        match int_of_string_opt pid with
-        | Some p when p > 0 && string_of_int p = pid -> (
-            match Unix.kill p 0 with
-            | () -> false
-            | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
-            | exception Unix.Unix_error _ -> false)
-        | _ -> false)
-    | _ -> false
-  in
-  match Sys.readdir tmp with
-  | names ->
-      Array.iter
-        (fun f ->
-          let dir = Filename.concat tmp f in
-          if stale f && Sys.is_directory dir then remove_scratch dir)
-        names
-  | exception Sys_error _ -> ()
-
 let open_session ~name ~stdout ~checkpoint out =
   let out =
     match out with
@@ -148,12 +195,12 @@ let open_session ~name ~stdout ~checkpoint out =
   in
   let tmp = Filename.get_temp_dir_name () in
   remove_stale_scratch tmp;
-  let scratch = Filename.concat tmp (Printf.sprintf "weakord-%s-%d" name (Unix.getpid ())) in
-  (try Unix.mkdir scratch 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let scratch, lock = claim_scratch tmp (Printf.sprintf "weakord-%s-%d" name (Unix.getpid ())) in
   let drain = ref false in
   {
     out;
     scratch;
+    lock;
     drain;
     wake = Runner.wake_on_drain drain;
     ckpt = { k_path = checkpoint; k_last = 0.; k_dirty = false };
@@ -175,7 +222,8 @@ let close_session s =
   | Some ch when ch == Stdlib.stdout -> flush ch
   | Some ch -> close_out ch
   | None -> ());
-  remove_scratch s.scratch
+  remove_scratch s.scratch;
+  Unix.close s.lock
 
 let supervise s write ~finally body =
   match

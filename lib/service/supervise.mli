@@ -57,6 +57,7 @@ type ckpt
 type session = private {
   out : out_channel option;  (** the JSONL stream *)
   scratch : string;  (** per-run scratch directory *)
+  lock : Unix.file_descr;  (** holds the scratch directory's lock *)
   drain : bool ref;  (** set by SIGTERM/SIGINT, or by the front end *)
   wake : Runner.wake;  (** the drain signals' wake-up pipe *)
   ckpt : ckpt;  (** the checkpoint's write throttle *)
@@ -68,10 +69,14 @@ val open_session :
     mode (an interrupted run's file plus its resume's file concatenate
     into the full result set), or streams to stdout when [out] is [None]
     and [stdout] holds.  It makes the scratch directory
-    [$TMPDIR/weakord-NAME-PID], first removing every
-    [$TMPDIR/weakord-*-PID] directory whose PID no longer exists (a
-    supervisor killed by SIGKILL never removes its own), and installs
-    {!Runner.wake_on_drain}. *)
+    [$TMPDIR/weakord-NAME-PID] and holds a [lockf] lock on the
+    [session.lock] file in it until {!supervise} ends; the kernel drops
+    the lock when the process dies.  First it removes the directories
+    that supervisors killed by SIGKILL left behind: each
+    [$TMPDIR/weakord-NAME-PID] of another PID, for NAME [batch], [fleet]
+    or [daemon], that is a directory of the caller's (not a symlink) and
+    whose lock it can take.  Only regular files are unlinked from it.
+    It installs {!Runner.wake_on_drain}. *)
 
 val touch : session -> unit
 (** Mark the checkpoint out of date.  A loop that {!save}s every turn

@@ -882,6 +882,75 @@ let test_batch_checkpoint_keeps_up () =
     (List.sort compare ids = List.map (fun (j : Job.t) -> j.Job.id) jobs);
   no_children "batch, after a kill and a resume"
 
+let test_scratch_sweep_spares () =
+  (* The sweep a new session makes removes only what a dead session
+     left.  Each planted entry is named for a PID that no longer exists,
+     and each would be removed by a sweep that followed symlinks, took
+     any name or trusted that PID. *)
+  let tmp = Filename.get_temp_dir_name () in
+  let dead = Runner.fork_worker (fun () -> ()) in
+  ignore (Unix.waitpid [] dead : int * Unix.process_status);
+  let named name = Filename.concat tmp (Printf.sprintf "weakord-%s-%d" name dead) in
+  let write path = Out_channel.with_open_bin path (fun oc -> output_string oc "x") in
+  let mkdir_with files =
+    let d = Filename.temp_dir ~temp_dir:tmp "weakord_sweep" "" in
+    List.iter (fun f -> write (Filename.concat d f)) files;
+    d
+  in
+  (* A directory of someone's files, a lock file among them. *)
+  let victim = mkdir_with [ "a"; "b"; "session.lock" ] in
+  let victim_files () = List.sort compare (Array.to_list (Sys.readdir victim)) in
+  (* [batch]: a symlink to it. *)
+  Unix.symlink victim (named "batch");
+  (* [fleet]: a directory whose lock another process holds, as a live
+     session in another PID namespace would. *)
+  let held = mkdir_with [ "session.lock"; "job1.stderr" ] in
+  Sys.rename held (named "fleet");
+  let ready_r, ready_w = Unix.pipe ~cloexec:true () in
+  let holder =
+    Runner.fork_worker (fun () ->
+        let fd = Unix.openfile (Filename.concat (named "fleet") "session.lock") [ Unix.O_RDWR ] 0 in
+        Unix.lockf fd Unix.F_LOCK 0;
+        ignore (Unix.write_substring ready_w "k" 0 1 : int);
+        Unix.sleep 60)
+  in
+  Unix.close ready_w;
+  ignore (Unix.read ready_r (Bytes.create 1) 0 1 : int);
+  Unix.close ready_r;
+  (* [daemon]: an unlocked directory holding a symlink to a file of the
+     victim's. *)
+  let open_dir = mkdir_with [ "session.lock" ] in
+  Unix.symlink (Filename.concat victim "a") (Filename.concat open_dir "t1.result");
+  Sys.rename open_dir (named "daemon");
+  (* [other]: an unlocked directory under a name no session uses. *)
+  Sys.rename (mkdir_with [ "session.lock" ]) (named "other");
+  let out = tmp_path ".jsonl" in
+  let finish () =
+    (try Unix.kill holder Sys.sigkill with Unix.Unix_error _ -> ());
+    ignore (Unix.waitpid [] holder : int * Unix.process_status)
+  in
+  Fun.protect ~finally:finish (fun () ->
+      ignore (Batch.run (batch_cfg out) (parse_ok "machine sc\nseeds 0..1\n") : Batch.summary));
+  Sys.remove out;
+  check "the symlink survives" true ((Unix.lstat (named "batch")).Unix.st_kind = Unix.S_LNK);
+  check "the files behind it survive" true (victim_files () = [ "a"; "b"; "session.lock" ]);
+  check "a held lock keeps its directory" true
+    (Sys.file_exists (Filename.concat (named "fleet") "job1.stderr"));
+  check "a symlink in a dead directory is not followed" true
+    ((Unix.lstat (Filename.concat (named "daemon") "t1.result")).Unix.st_kind = Unix.S_LNK);
+  check "an unknown name is kept" true (Sys.file_exists (named "other"));
+  (* Once its holder is gone, the next session removes the directory. *)
+  ignore (Batch.run (batch_cfg out) (parse_ok "machine sc\nseeds 0..1\n") : Batch.summary);
+  Sys.remove out;
+  check "a released lock frees its directory" false (Sys.file_exists (named "fleet"));
+  let rm_dir d =
+    Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+    Sys.rmdir d
+  in
+  Sys.remove (named "batch");
+  List.iter rm_dir [ victim; named "daemon"; named "other" ];
+  no_children "batch, after the scratch sweep"
+
 let connect path =
   let rec go n =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1088,6 +1157,8 @@ let suite =
         `Quick test_idle_worker_exits_beside_a_wedge;
       Alcotest.test_case "batch: the checkpoint keeps up with a burst" `Quick
         test_batch_checkpoint_keeps_up;
+      Alcotest.test_case "session: the scratch sweep spares what is not stale" `Quick
+        test_scratch_sweep_spares;
       Alcotest.test_case "daemon: a miss, a hit and a drain in process" `Quick
         test_daemon_in_process;
       Alcotest.test_case "fleet: the stats socket refuses job verbs" `Quick
